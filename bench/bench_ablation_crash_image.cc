@@ -3,8 +3,11 @@
  * Ablation — crash-image construction.
  *
  * The paper's image copy keeps all updates (footnote 3) and relies on
- * the shadow PM to flag reads of unpersisted data. Our crashImageMode
- * extension instead materializes the image a real crash would leave
+ * the shadow PM to flag reads of unpersisted data. The durable
+ * crash-states tier (--crash-states=durable, alias --crash-image)
+ * instead materializes the image a real crash would leave when no
+ * in-flight write persisted: the all-zero mask of the cell-granular
+ * model the oracle and partial crash-state exploration share
  * (pmreorder/Yat-style). This bench compares the two on the micro
  * workloads and a representative bug from each class:
  *
@@ -43,7 +46,8 @@ main()
     for (const char *w : micro) {
         for (int mode = 0; mode < 2; mode++) {
             core::DetectorConfig dcfg;
-            dcfg.crashImageMode = mode == 1;
+            if (mode == 1)
+                dcfg.crashStates = "durable";
             Timing t = timeCampaign(w, cfg, dcfg, 1);
             std::printf("%-16s %-14s %12zu %12zu %12.2f\n", w,
                         mode ? "crash image" : "paper (all)",
@@ -57,8 +61,8 @@ main()
 
     std::printf("\nrepresentative bugs under both modes:\n");
     rule();
-    // Semantic cases are excluded: crash-image mode disables the
-    // commit-variable checks (see DetectorConfig::crashImageMode).
+    // Semantic cases are excluded: the durable tier disables the
+    // commit-variable checks (see DetectorConfig::crashStates).
     const char *const reps[] = {"btree.race.leaf_no_add",
                                 "hashmap_tx.race.slot_no_add",
                                 "hashmap_atomic.shipped.count_uninit"};
@@ -68,7 +72,7 @@ main()
             if (c.id != id)
                 continue;
             core::DetectorConfig crash;
-            crash.crashImageMode = true;
+            crash.crashStates = "durable";
             bool d_paper = bugsuite::detected(c, bugsuite::runBugCase(c));
             bool d_crash =
                 bugsuite::detected(c, bugsuite::runBugCase(c, crash));

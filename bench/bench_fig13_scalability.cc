@@ -74,7 +74,7 @@ printTable()
             Timing cs = timeCampaign(w, fig13Config(txns), cs_dcfg, 1);
             const core::CampaignStats &cst = cs.last.statistics();
             double ms = t.meanTotalSeconds * 1e3;
-            const auto &s = t.last.stats;
+            const auto &s = t.last.statistics();
             std::size_t fp = s.failurePoints;
             double per = fp ? ms / fp : 0;
             // What the pre-delta driver would have copied: one full

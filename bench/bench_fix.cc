@@ -61,7 +61,7 @@ runOne(const std::string &bugId, bool withOracle)
     std::chrono::duration<double> dt =
         std::chrono::steady_clock::now() - t0;
 
-    row.baselineFindings = rep.baseline.bugs.size();
+    row.baselineFindings = rep.baseline.findings().size();
     row.plans = rep.plans();
     row.verified = rep.verified;
     row.incomplete = rep.incomplete;

@@ -65,7 +65,7 @@ writeStatsJson(const CampaignResult &res, const DetectorConfig *cfg,
                const obs::StatsRegistry *stats, std::ostream &os,
                const std::vector<JsonSection> &extra)
 {
-    const CampaignStats &s = res.stats;
+    const CampaignStats &s = res.statistics();
     obs::JsonWriter w(os);
     w.beginObject();
     w.field("schema", "xfd-stats-v1");
@@ -129,7 +129,7 @@ writeStatsJson(const CampaignResult &res, const DetectorConfig *cfg,
     w.endObject();
 
     w.key("bugs").beginObject();
-    w.field("total", static_cast<std::uint64_t>(res.bugs.size()));
+    w.field("total", static_cast<std::uint64_t>(res.findings().size()));
     w.key("by_type").beginObject();
     for (BugType t : {BugType::CrossFailureRace,
                       BugType::CrossFailureSemantic, BugType::Performance,
@@ -160,14 +160,14 @@ writeReportJson(const CampaignResult &res, std::ostream &os)
     w.beginObject();
     w.field("schema", "xfd-report-v1");
     w.field("findings_total",
-            static_cast<std::uint64_t>(res.bugs.size()));
+            static_cast<std::uint64_t>(res.findings().size()));
     w.field("checks_performed",
-            static_cast<std::uint64_t>(res.stats.checksPerformed));
+            static_cast<std::uint64_t>(res.statistics().checksPerformed));
     w.field("checks_skipped",
-            static_cast<std::uint64_t>(res.stats.checksSkipped));
+            static_cast<std::uint64_t>(res.statistics().checksSkipped));
     w.key("findings").beginArray();
-    for (std::size_t i = 0; i < res.bugs.size(); i++)
-        writeBug(w, res.bugs[i], i);
+    for (std::size_t i = 0; i < res.findings().size(); i++)
+        writeBug(w, res.findings()[i], i);
     w.endArray();
     w.endObject();
     os << '\n';

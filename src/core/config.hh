@@ -105,21 +105,6 @@ struct DetectorConfig
     /** Report performance bugs (redundant flushes, duplicate TX_ADD). */
     bool reportPerformanceBugs = true;
 
-    /**
-     * Extension beyond the paper: build the post-failure PM image the
-     * way a real crash would leave it — writes that were not flushed
-     * *and* fenced by the failure point are absent (they revert to
-     * their last persisted value). The paper instead copies all
-     * updates and relies on the shadow PM (footnote 3); that finds
-     * races that this mode's single materialization might mask, while
-     * this mode makes the post-failure stage *behave* like a real
-     * recovery (pmreorder/Yat-style). Commit-variable semantic checks
-     * are disabled in this mode: they assume recovery observes the
-     * latest commit write, which only the all-updates image
-     * guarantees.
-     */
-    bool crashImageMode = false;
-
     /** Upper bound on injected failure points (0 = unlimited). */
     std::size_t maxFailurePoints = 0;
 
@@ -230,6 +215,13 @@ struct DetectorConfig
      *
      *  - "anchor" (or empty): only the paper's footnote-3 all-updates
      *    image — the classic single-candidate campaign;
+     *  - "durable": instead of the anchor, only the image a real crash
+     *    leaves when no in-flight write persisted (the all-zero mask
+     *    of the cell model; --crash-image is an alias). Commit-window
+     *    semantic verdicts are suppressed: they assume recovery
+     *    observes the latest commit write, which only the all-updates
+     *    image guarantees. Under eADR every store is durable on
+     *    arrival, so this image is the working image;
      *  - "sample:<n>": additionally up to <n> seeded-random legal
      *    persisted-subsets of the write frontier (per-cell prefix
      *    closure, same enumeration as the oracle);
@@ -240,10 +232,10 @@ struct DetectorConfig
      * provenance (persistedMask with cleared bits) and surface as
      * campaign.crashstates.* stats. Structurally identical candidates
      * across failure points (same ordering-point location, same lint
-     * frontier signature, same mask) execute once. Incompatible with
-     * crashImageMode (which pins one alternative materialization);
-     * under the eADR model frontiers are empty, so the mode
-     * degenerates to the anchor.
+     * frontier signature, same mask) execute once. The durable tier
+     * runs one candidate per failure point and neither prunes nor
+     * counts towards those stats. Under the eADR model frontiers are
+     * empty, so sample and exhaustive degenerate to the anchor.
      */
     std::string crashStates;
 
@@ -393,14 +385,14 @@ struct DetectorConfig
 
     /**
      * Parse @p s as a crash-states descriptor. @return true (setting
-     * @p exhaustive / @p sampleCount for the non-anchor modes) on
+     * @p exhaustive / @p sampleCount for the partial modes) on
      * success, false on an unknown descriptor.
      */
     static bool
     parseCrashStates(const std::string &s, bool &exhaustive,
                      std::size_t &sampleCount)
     {
-        if (s.empty() || s == "anchor") {
+        if (s.empty() || s == "anchor" || s == "durable") {
             exhaustive = false;
             sampleCount = 0;
             return true;
@@ -429,7 +421,15 @@ struct DetectorConfig
     bool
     crashStatesOn() const
     {
-        return !crashStates.empty() && crashStates != "anchor";
+        return !crashStates.empty() && crashStates != "anchor" &&
+               !durableTier();
+    }
+
+    /** Whether recovery runs on the durable image, not the anchor. */
+    bool
+    durableTier() const
+    {
+        return crashStates == "durable";
     }
 };
 

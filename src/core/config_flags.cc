@@ -74,8 +74,8 @@ buildTable()
         d.impliedValue = implied;
         t.push_back(d);
     };
-    // Deprecated switch spelling that stores a fixed string into a
-    // canonical field's slot ("--no-delta" == "--backend=full").
+    // Switch spelling that stores a fixed string into a canonical
+    // field's slot ("--no-delta" == "--backend=full").
     auto alias = [&](const char *flag, const char *help,
                      std::string C::*field, const char *implied) {
         ConfigFlagDesc d;
@@ -107,11 +107,6 @@ buildTable()
     sw("--no-perf-bugs",
        "do not report performance bugs (redundant flush/TX_ADD)",
        "report_performance_bugs", &C::reportPerformanceBugs, false);
-    sw("--crash-image",
-       "post-failure stage sees a realistic crash image "
-       "(unpersisted writes dropped) instead of the paper's "
-       "keep-everything copy",
-       "crash_image_mode", &C::crashImageMode, true);
     sizef("--max-failpoints", "<n>", "cap injected failure points",
           "max_failure_points", &C::maxFailurePoints);
     strf("--backend", "<full|delta|batched>",
@@ -164,14 +159,20 @@ buildTable()
          "write replayable disagreement artifacts (pre-trace + "
          "failure point + subset mask) into <dir>",
          "oracle_artifact_dir", &C::oracleArtifactDir, nullptr);
-    strf("--crash-states", "<anchor|sample:<n>|exhaustive>",
+    strf("--crash-states", "<anchor|durable|sample:<n>|exhaustive>",
          "crash-state exploration per failure point: \"anchor\" "
          "(default) runs recovery only on the all-updates image, "
-         "\"sample:<n>\" additionally on up to <n> seeded-random "
-         "legal persisted subsets of the write frontier, "
-         "\"exhaustive\" on every legal subset within the "
-         "--oracle-frontier bound",
+         "\"durable\" only on the image a real crash leaves (no "
+         "in-flight write persisted), \"sample:<n>\" additionally "
+         "on up to <n> seeded-random legal persisted subsets of the "
+         "write frontier, \"exhaustive\" on every legal subset "
+         "within the --oracle-frontier bound",
          "crash_states", &C::crashStates, nullptr);
+    alias("--crash-image",
+          "alias for --crash-states=durable: recovery sees a realistic "
+          "crash image (unpersisted writes dropped) instead of the "
+          "paper's keep-everything copy",
+          &C::crashStates, "durable");
     sizef("--crash-seed", "<n>",
           "seed for the per-failure-point crash-state sampler "
           "(default 42)",
@@ -230,56 +231,48 @@ findDetectorFlag(const char *flag)
     return nullptr;
 }
 
-void
+std::string
 applyDetectorFlag(const ConfigFlagDesc &d, DetectorConfig &cfg,
                   const char *value)
 {
     if (d.boolField) {
         cfg.*(d.boolField) = d.boolValue;
-        return;
+        return {};
     }
+    if (d.stringField && !value)
+        value = d.impliedValue;
+    if (!value)
+        return strprintf("flag %s requires a value", d.flag);
     if (d.stringField) {
-        if (!value)
-            value = d.impliedValue;
-        if (!value)
-            panic("flag %s requires a value", d.flag);
+        bool ok = true;
+        const char *expected = nullptr;
         if (d.stringField == &DetectorConfig::backend) {
             BackendMode m;
-            if (!DetectorConfig::parseBackend(value, m)) {
-                panic("flag %s: unknown backend \"%s\" (expected "
-                      "full, delta or batched)",
-                      d.flag, value);
-            }
-        }
-        if (d.stringField == &DetectorConfig::pmModel) {
+            ok = DetectorConfig::parseBackend(value, m);
+            expected = "full, delta or batched";
+        } else if (d.stringField == &DetectorConfig::pmModel) {
             PersistencyModel m;
-            if (!DetectorConfig::parsePmModel(value, m)) {
-                panic("flag %s: unknown persistency model \"%s\" "
-                      "(expected clwb or eadr)",
-                      d.flag, value);
-            }
-        }
-        if (d.stringField == &DetectorConfig::crashStates) {
+            ok = DetectorConfig::parsePmModel(value, m);
+            expected = "clwb or eadr";
+        } else if (d.stringField == &DetectorConfig::crashStates) {
             bool exhaustive = false;
             std::size_t n = 0;
-            if (!DetectorConfig::parseCrashStates(value, exhaustive,
-                                                  n)) {
-                panic("flag %s: bad crash-states mode \"%s\" "
-                      "(expected anchor, sample:<n> or exhaustive)",
-                      d.flag, value);
-            }
+            ok = DetectorConfig::parseCrashStates(value, exhaustive, n);
+            expected = "anchor, durable, sample:<n> or exhaustive";
+        }
+        if (!ok) {
+            return strprintf("flag %s: unknown value \"%s\" (expected "
+                             "%s)",
+                             d.flag, value, expected);
         }
         cfg.*(d.stringField) = value;
-        return;
-    }
-    if (!value)
-        panic("flag %s requires a value", d.flag);
-    if (d.uintField) {
+    } else if (d.uintField) {
         cfg.*(d.uintField) =
             static_cast<unsigned>(std::strtoul(value, nullptr, 10));
     } else if (d.sizeField) {
         cfg.*(d.sizeField) = std::strtoul(value, nullptr, 10);
     }
+    return {};
 }
 
 std::string

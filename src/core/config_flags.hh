@@ -60,8 +60,8 @@ struct ConfigFlagDesc
     const char *impliedValue = nullptr;
 
     /**
-     * Deprecated alias row: parses like any other row (storing into
-     * the same field as its canonical spelling) but is skipped by the
+     * Alias row: parses like any other row (storing into the same
+     * field as its canonical spelling) but is skipped by the
      * xfd-stats-v1 "config" echo so the canonical key appears exactly
      * once. The removal schedule lives in DESIGN.md conventions.
      */
@@ -83,9 +83,11 @@ const ConfigFlagDesc *findDetectorFlag(const char *flag);
 /**
  * Apply one parsed flag to @p cfg. @p value is the argument string
  * for value-taking rows (parsed base-10), ignored for switches.
+ * @return empty on success, else a message naming the flag and the
+ *         rejected value (@p cfg is left unchanged).
  */
-void applyDetectorFlag(const ConfigFlagDesc &d, DetectorConfig &cfg,
-                       const char *value);
+std::string applyDetectorFlag(const ConfigFlagDesc &d,
+                              DetectorConfig &cfg, const char *value);
 
 /** Formatted help lines for every row (the --help detector section). */
 std::string detectorFlagHelp();

@@ -85,18 +85,13 @@ struct Driver::PreCursor::CsState
 
 Driver::PreCursor::PreCursor(AddrRange range,
                              const DetectorConfig &cfg,
-                             const pm::CowImage &initial)
+                             const pm::CowImage &initial, bool cells)
     : shadow(range, cfg), image(initial)
 {
-    // Crash-state exploration needs the durable twin too: a partial
-    // candidate materializes as durable image + masked frontier
-    // events. Under eADR every frontier is empty and the mode
-    // degenerates to the anchor, so the extra bookkeeping is skipped.
-    bool cs_on = cfg.crashStatesOn() && !cfg.eadrOn();
-    if (cfg.crashImageMode || cs_on)
+    if (cells) {
         durable = initial;
-    if (cs_on)
         cs = std::make_unique<CsState>(cfg);
+    }
 }
 
 Driver::PreCursor::~PreCursor() = default;
@@ -118,7 +113,7 @@ std::size_t
 CampaignResult::count(BugType t) const
 {
     std::size_t n = 0;
-    for (const auto &b : bugs) {
+    for (const auto &b : reports) {
         if (b.type == t)
             n++;
     }
@@ -128,31 +123,32 @@ CampaignResult::count(BugType t) const
 std::string
 CampaignResult::summary() const
 {
+    const CampaignStats &st = campaignStats;
     std::string batched;
-    if (stats.batchGroups) {
+    if (st.batchGroups) {
         batched = strprintf(", batched %zu groups (+%zu folded)",
-                            stats.batchGroups, stats.lintPrunedPoints);
-    } else if (stats.lintPrunedPoints) {
+                            st.batchGroups, st.lintPrunedPoints);
+    } else if (st.lintPrunedPoints) {
         batched =
-            strprintf(", lint-pruned %zu", stats.lintPrunedPoints);
+            strprintf(", lint-pruned %zu", st.lintPrunedPoints);
     }
     std::string s = strprintf(
         "=== XFDetector report: %zu finding(s) ===\n"
         "failure points: %zu (candidates %zu, elided %zu%s), "
         "post-failure executions: %zu\n"
         "time: pre %.3fs, post %.3fs, backend %.3fs\n",
-        bugs.size(), stats.failurePoints, stats.orderingCandidates,
-        stats.elidedPoints, batched.c_str(), stats.postExecutions,
-        stats.preSeconds, stats.postSeconds, stats.backendSeconds);
-    if (stats.crashStatesExplored || stats.crashStatesPruned) {
+        reports.size(), st.failurePoints, st.orderingCandidates,
+        st.elidedPoints, batched.c_str(), st.postExecutions,
+        st.preSeconds, st.postSeconds, st.backendSeconds);
+    if (st.crashStatesExplored || st.crashStatesPruned) {
         s += strprintf(
             "crash states: %zu partial candidate(s) explored "
             "(+%zu pruned as equivalent), partial-image findings: "
             "%zu\n",
-            stats.crashStatesExplored, stats.crashStatesPruned,
+            st.crashStatesExplored, st.crashStatesPruned,
             partialImageFindings());
     }
-    for (const auto &b : bugs)
+    for (const auto &b : reports)
         s += b.str() + "\n";
     return s;
 }
@@ -161,7 +157,7 @@ std::size_t
 CampaignResult::partialImageFindings() const
 {
     std::size_t n = 0;
-    for (const auto &b : bugs) {
+    for (const auto &b : reports) {
         if (b.persistedMask.size() && !b.persistedMask.all())
             n++;
     }
@@ -177,8 +173,8 @@ CampaignResult::fingerprint() const
     // those legitimately differ between serial, parallel and batched
     // schedules; the finding *set* must not.
     std::vector<std::string> lines;
-    lines.reserve(bugs.size());
-    for (const auto &b : bugs) {
+    lines.reserve(reports.size());
+    for (const auto &b : reports) {
         lines.push_back(strprintf("%s|%s|%s|%s", bugTypeId(b.type),
                                   b.reader.str().c_str(),
                                   b.writer.str().c_str(),
@@ -348,24 +344,12 @@ Driver::advanceImage(PreCursor &cur, const trace::TraceBuffer &pre,
                     }
                 }
             }
-            Addr last = lineBase(e.addr + (e.size ? e.size - 1 : 0));
-            if (eadr) {
-                // Flush-free persistency: the store is durable on
-                // arrival, so it is never part of a write frontier
-                // (provenance stays empty) and a realistic crash
-                // image carries it immediately.
-                if (cfg.crashImageMode) {
-                    for (Addr l = lineBase(e.addr); l <= last;
-                         l += cacheLineSize) {
-                        cur.durable.copyFrom(cur.image, l,
-                                             cacheLineSize);
-                        if (deltaStore)
-                            cur.durablePages.insert(
-                                deltaStore->pageOf(l));
-                    }
-                }
+            // Flush-free persistency: the store is durable on arrival,
+            // so it is never part of a write frontier (provenance stays
+            // empty).
+            if (eadr)
                 continue;
-            }
+            Addr last = lineBase(e.addr + (e.size ? e.size - 1 : 0));
             for (Addr l = lineBase(e.addr); l <= last;
                  l += cacheLineSize) {
                 // Frontier bookkeeping (provenance): the write is
@@ -373,11 +357,6 @@ Driver::advanceImage(PreCursor &cur, const trace::TraceBuffer &pre,
                 cur.inflight[l].push_back(e.seq);
                 if (e.op == Op::NtWrite)
                     cur.inflightPending.insert(l);
-                if (cfg.crashImageMode) {
-                    cur.dirtyLines.insert(l);
-                    if (e.op == Op::NtWrite)
-                        cur.pendingLines.insert(l);
-                }
             }
             continue;
         }
@@ -401,8 +380,6 @@ Driver::advanceImage(PreCursor &cur, const trace::TraceBuffer &pre,
             // the next fence.
             if (cur.inflight.count(e.addr))
                 cur.inflightPending.insert(e.addr);
-            if (cfg.crashImageMode && cur.dirtyLines.count(e.addr))
-                cur.pendingLines.insert(e.addr);
         } else if (e.isFence()) {
             if (cs) {
                 // The fence retires cells still pending (a cached
@@ -422,18 +399,9 @@ Driver::advanceImage(PreCursor &cur, const trace::TraceBuffer &pre,
             for (Addr l : cur.inflightPending)
                 cur.inflight.erase(l);
             cur.inflightPending.clear();
-            if (!cfg.crashImageMode)
-                continue;
-            for (Addr l : cur.pendingLines) {
-                cur.durable.copyFrom(cur.image, l, cacheLineSize);
-                cur.dirtyLines.erase(l);
-                if (deltaStore)
-                    cur.durablePages.insert(deltaStore->pageOf(l));
-            }
-            cur.pendingLines.clear();
         } else if (cs) {
-            // Ops the line model ignores but the cell model mirrors
-            // from the oracle.
+            // Ops the line-granular frontier bookkeeping ignores but
+            // the cell model mirrors from the oracle.
             switch (e.op) {
               case Op::Alloc: {
                 std::uint64_t first = cs->cellIndex(e.addr);
@@ -515,14 +483,14 @@ Driver::replayPost(PreCursor &cur, const trace::TraceBuffer &pre,
                 break;
             }
             if (res.verdict == ReadCheck::SemanticBug &&
-                (cfg.crashImageMode || suppressSemantic)) {
+                suppressSemantic) {
                 // The commit-variable timestamps assume recovery
                 // observes the *latest* commit write, which only the
-                // paper's all-updates image guarantees; under a
-                // realistic crash image — or a partial candidate that
-                // dropped a commit write — the recovery may be acting
-                // on an older committed version, so the semantic
-                // verdict is not sound here.
+                // paper's all-updates image guarantees; under the
+                // durable image — or a partial candidate that dropped
+                // a commit write — the recovery may be acting on an
+                // older committed version, so the semantic verdict is
+                // not sound here.
                 break;
             }
             BugReport r;
@@ -571,7 +539,13 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
     // (this point's write frontier) is annotated onto exactly the
     // findings this point produced before they merge.
     BugSink local;
-    BugSink &fp_sink = local;
+
+    // The durable tier runs recovery on the cell model's durable
+    // image (the all-zero mask) in place of the anchor. Under eADR
+    // there is no cell model: every store is durable on arrival, so
+    // the working image already is that image.
+    const bool durable_tier = cfg.durableTier();
+    const bool from_durable = durable_tier && cur.cs;
 
     auto tb0 = std::chrono::steady_clock::now();
     {
@@ -590,8 +564,7 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
         }
         obs::SpanScope s3(tl, "restore-pool", "backend", wobs.track);
 
-        const pm::CowImage &src =
-            cfg.crashImageMode ? cur.durable : cur.image;
+        const pm::CowImage &src = from_durable ? cur.durable : cur.image;
         bool checkpoint_due =
             cfg.deltaCheckpointInterval != 0 &&
             cur.sinceCheckpoint >= cfg.deltaCheckpointInterval;
@@ -618,7 +591,7 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
             // since, and (b) pages the previous post-failure
             // execution soiled. Copy exactly that union.
             std::set<std::uint32_t> pages;
-            if (cfg.crashImageMode)
+            if (from_durable)
                 pages.swap(cur.durablePages);
             else
                 deltaStore->collectPages(cur.lastRestoredSeq, fp,
@@ -657,7 +630,7 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
     // persisted) write seqs as of fp, in ascending order — the
     // causal candidates for anything the post-failure stage trips
     // over. Captured before the post-failure run dirties anything.
-    // Crash-states campaigns take it from the cell model so the bit
+    // Campaigns with a cell model take it from there so the bit
     // order of every candidate mask matches the oracle's exactly;
     // otherwise the line-granular bookkeeping supplies it.
     std::vector<std::uint32_t> frontier;
@@ -675,6 +648,49 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
                        frontier.end());
     }
 
+    // Which frontier writes the image contained: all of them under
+    // the paper's footnote-3 image, none under the durable tier,
+    // where in flight means absent. The durable image may show
+    // recovery an older commit epoch, so commit-window verdicts are
+    // not sound on it.
+    trace::SubsetMask mask(frontier.size());
+    if (!durable_tier)
+        mask.setAll();
+    double classify_s = runCandidate(cur, exec_pool, pre, post, fp,
+                                     frontier, mask, durable_tier,
+                                     local, stats, wobs);
+
+    if (wobs.live) {
+        wobs.live->count("failure_points");
+        wobs.live->count("restore_us",
+                         static_cast<std::uint64_t>(restore_s * 1e6));
+        wobs.live->count("classify_us",
+                         static_cast<std::uint64_t>(classify_s * 1e6));
+    }
+
+    // Partial crash-state exploration rides after the anchor so its
+    // findings merge into the same per-point sink (each annotated
+    // with its own persisted mask) before the hook fires.
+    if (csCtx && cur.cs)
+        exploreCrashStates(cur, exec_pool, pre, post, fp, frontier,
+                           local, stats, wobs);
+
+    if (observer)
+        observer->notifyFailurePoint(fp, local);
+    sink.merge(local);
+}
+
+double
+Driver::runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
+                     const trace::TraceBuffer &pre,
+                     const ProgramFn &post, std::uint32_t fp,
+                     const std::vector<std::uint32_t> &frontier,
+                     const trace::SubsetMask &mask,
+                     bool suppressSemantic, BugSink &out,
+                     CampaignStats &stats, const WorkerObs &wobs)
+{
+    obs::Timeline *tl = wobs.timeline;
+    BugSink found;
     trace::TraceBuffer post_trace;
     {
         obs::SpanScope span(tl, "post-exec", "post", wobs.track);
@@ -696,7 +712,7 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
             r.writer = pre[fp].loc;
             r.failurePoint = fp;
             r.note = abort.reason;
-            fp_sink.report(std::move(r));
+            found.report(std::move(r));
         } catch (const pm::BadPmAccess &bad) {
             // The post-failure stage dereferenced a corrupted
             // persistent pointer — the emulated equivalent of the
@@ -710,7 +726,7 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
             r.note = strprintf(
                 "post-failure crash: wild PM access at %#llx",
                 static_cast<unsigned long long>(bad.addr));
-            fp_sink.report(std::move(r));
+            found.report(std::move(r));
         }
         rt.setBatching(false); // flush the ring before reading counts
         double post_s = secondsSince(t0);
@@ -732,26 +748,19 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
     auto tb1 = std::chrono::steady_clock::now();
     {
         obs::SpanScope span(tl, "replay", "backend", wobs.track);
-        replayPost(cur, pre, post_trace, fp, fp_sink);
+        replayPost(cur, pre, post_trace, fp, found, suppressSemantic);
     }
     double classify_s = secondsSince(tb1);
     stats.backendSeconds += classify_s;
     stats.phases.note(obs::Phase::Classify, classify_s);
 
-    // Annotate provenance onto the findings this exact point exposed:
-    // its frontier, plus which frontier writes the post-failure image
-    // contained (all of them under the paper's footnote-3 image, none
-    // under --crash-image, where in flight means absent).
-    trace::SubsetMask mask(frontier.size());
-    if (!cfg.crashImageMode)
-        mask.setAll();
-    local.annotate([&](BugReport &b) {
+    found.annotate([&](BugReport &b) {
         b.frontierSeqs = frontier;
         b.persistedMask = mask;
     });
 
     if (tl) {
-        for (const auto &b : local.bugs()) {
+        for (const auto &b : found.bugs()) {
             std::vector<std::pair<std::string, std::string>> args;
             args.emplace_back("type", bugTypeId(b.type));
             args.emplace_back("reader", b.reader.str());
@@ -769,48 +778,29 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
                               wobs.track, tl->nowUs(), std::move(args));
         }
     }
-
-    if (wobs.live) {
-        wobs.live->count("failure_points");
-        wobs.live->count("restore_us",
-                         static_cast<std::uint64_t>(restore_s * 1e6));
-        wobs.live->count("classify_us",
-                         static_cast<std::uint64_t>(classify_s * 1e6));
-    }
-
-    // Partial crash-state exploration rides after the anchor so its
-    // findings merge into the same per-point sink (each annotated
-    // with its own persisted mask) before the hook fires.
-    if (csCtx && cur.cs)
-        exploreCrashStates(cur, exec_pool, pre, post, fp, local,
-                           stats, wobs);
-
-    if (observer)
-        observer->notifyFailurePoint(fp, local);
-    sink.merge(local);
+    out.merge(found);
+    return classify_s;
 }
 
 void
 Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
                            const trace::TraceBuffer &pre,
                            const ProgramFn &post, std::uint32_t fp,
+                           const std::vector<std::uint32_t> &frontier,
                            BugSink &local, CampaignStats &stats,
                            const WorkerObs &wobs)
 {
+    if (frontier.empty())
+        return;
     PreCursor::CsState &cs = *cur.cs;
 
-    // Frontier + per-cell prefix chains from the cell model — the
-    // identical inputs the oracle derives, so enumeration agrees with
-    // it candidate for candidate.
-    std::set<std::uint32_t> seqs;
-    for (const auto &[idx, c] : cs.cells)
-        seqs.insert(c.tail.begin(), c.tail.end());
-    if (seqs.empty())
-        return;
+    // Frontier events + per-cell prefix chains from the cell model —
+    // the identical inputs the oracle derives, so enumeration agrees
+    // with it candidate for candidate.
     std::vector<trace::FrontierEvent> events;
-    events.reserve(seqs.size());
+    events.reserve(frontier.size());
     std::map<std::uint32_t, std::size_t> bitOf;
-    for (std::uint32_t s : seqs) {
+    for (std::uint32_t s : frontier) {
         bitOf[s] = events.size();
         events.push_back(trace::FrontierEvent{s, pre[s].addr,
                                               pre[s].size});
@@ -853,8 +843,6 @@ Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
     if (en.masks.size() <= 1)
         return;
     stats.crashStatesEnumerated += en.masks.size() - 1;
-
-    std::vector<std::uint32_t> frontier(seqs.begin(), seqs.end());
 
     obs::Timeline *tl = wobs.timeline;
     obs::SpanScope span(tl,
@@ -964,95 +952,10 @@ Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
                 }
             }
         }
-
-        BugSink cand;
-        trace::TraceBuffer post_trace;
-        {
-            obs::SpanScope s2(tl, "post-exec", "post", wobs.track);
-            trace::PmRuntime rt(exec_pool, post_trace,
-                                trace::Stage::PostFailure);
-            rt.setEntryCap(1u << 20);
-            rt.setBatching(true);
-            auto t0 = std::chrono::steady_clock::now();
-            try {
-                post(rt);
-            } catch (const trace::StageComplete &) {
-            } catch (const trace::PostFailureAbort &abort) {
-                BugReport r;
-                r.type = BugType::RecoveryFailure;
-                r.reader = abort.loc;
-                r.writer = pre[fp].loc;
-                r.failurePoint = fp;
-                r.note = abort.reason;
-                cand.report(std::move(r));
-            } catch (const pm::BadPmAccess &bad) {
-                BugReport r;
-                r.type = BugType::RecoveryFailure;
-                r.addr = bad.addr;
-                r.size = static_cast<std::uint32_t>(bad.size);
-                r.writer = pre[fp].loc;
-                r.failurePoint = fp;
-                r.note = strprintf(
-                    "post-failure crash: wild PM access at %#llx",
-                    static_cast<unsigned long long>(bad.addr));
-                cand.report(std::move(r));
-            }
-            rt.setBatching(false);
-            double post_s = secondsSince(t0);
-            stats.postSeconds += post_s;
-            stats.phases.note(obs::Phase::RecoveryExec, post_s);
-            if (wobs.postLatency)
-                wobs.postLatency->push_back(post_s);
-            if (wobs.postOps) {
-                const auto &ops = rt.opCounts();
-                for (std::size_t i = 0; i < ops.size(); i++)
-                    (*wobs.postOps)[i] += ops[i];
-            }
-            if (wobs.live)
-                wobs.live->sample("post_exec_latency_us",
-                                  post_s * 1e6);
-        }
-        stats.postExecutions++;
-        stats.postTraceEntries += post_trace.size();
-
-        auto tb1 = std::chrono::steady_clock::now();
-        {
-            obs::SpanScope s2(tl, "replay", "backend", wobs.track);
-            replayPost(cur, pre, post_trace, fp, cand, dropped_commit);
-        }
-        double classify_s = secondsSince(tb1);
-        stats.backendSeconds += classify_s;
-        stats.phases.note(obs::Phase::Classify, classify_s);
-
-        cand.annotate([&](BugReport &b) {
-            b.frontierSeqs = frontier;
-            b.persistedMask = mask;
-        });
-
-        if (tl) {
-            for (const auto &b : cand.bugs()) {
-                std::vector<std::pair<std::string, std::string>> args;
-                args.emplace_back("type", bugTypeId(b.type));
-                args.emplace_back("reader", b.reader.str());
-                args.emplace_back("writer", b.writer.str());
-                args.emplace_back("failure_point",
-                                  strprintf("%u", fp));
-                std::string fs;
-                for (std::uint32_t s : frontier) {
-                    if (!fs.empty())
-                        fs += ',';
-                    fs += strprintf("%u", s);
-                }
-                args.emplace_back("frontier", std::move(fs));
-                args.emplace_back("persisted_mask", mask.toHex());
-                tl->recordInstant(strprintf("finding@fp#%u", fp),
-                                  "finding", wobs.track, tl->nowUs(),
-                                  std::move(args));
-            }
-        }
+        runCandidate(cur, exec_pool, pre, post, fp, frontier, mask,
+                     dropped_commit, local, stats, wobs);
         if (wobs.live)
             wobs.live->count("crash_candidates");
-        local.merge(cand);
     }
     // Pages restored toward durable hold stale bytes relative to the
     // working image; re-dirty them so the next anchor restore
@@ -1081,12 +984,9 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
         threads = 1;
     CampaignResult result;
     result.runConfig = cfg;
-    result.stats.threads = threads;
+    CampaignStats &totals = result.campaignStats;
+    totals.threads = threads;
 
-    if (cfg.crashStatesOn() && cfg.crashImageMode) {
-        fatal("--crash-states explores partial crash images itself "
-              "and cannot combine with --crash-image");
-    }
     CrashStateCtx cs_ctx;
     if (cfg.crashStatesOn() && !cfg.eadrOn()) {
         bool exhaustive = false;
@@ -1094,7 +994,7 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
         if (!DetectorConfig::parseCrashStates(cfg.crashStates,
                                               exhaustive, n)) {
             fatal("bad --crash-states mode \"%s\" (expected anchor, "
-                  "sample:<n> or exhaustive)",
+                  "durable, sample:<n> or exhaustive)",
                   cfg.crashStates.c_str());
         }
         cs_ctx.exhaustive = exhaustive;
@@ -1133,16 +1033,16 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
         } catch (const trace::StageComplete &) {
         }
         rt.setBatching(false); // flush the ring before reading counts
-        result.stats.preSeconds = secondsSince(t0);
-        result.stats.phases.note(obs::Phase::TraceCapture,
-                                 result.stats.preSeconds);
+        totals.preSeconds = secondsSince(t0);
+        totals.phases.note(obs::Phase::TraceCapture,
+                                 totals.preSeconds);
         pre_ops = rt.opCounts();
-        result.stats.sameValueElided = rt.sameValueElided();
+        totals.sameValueElided = rt.sameValueElided();
     }
-    result.stats.preTraceEntries = pre_trace.size();
+    totals.preTraceEntries = pre_trace.size();
     if (live) {
         live->count("pre_trace_entries", pre_trace.size());
-        live->gauge("pre_seconds", result.stats.preSeconds);
+        live->gauge("pre_seconds", totals.preSeconds);
     }
 
     if (observer)
@@ -1154,7 +1054,7 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
         obs::SpanScope span(tl, "plan-failure-points", "phase", 0);
         auto t0 = std::chrono::steady_clock::now();
         plan = planFailurePoints(pre_trace, cfg);
-        result.stats.phases.note(obs::Phase::Plan, secondsSince(t0));
+        totals.phases.note(obs::Phase::Plan, secondsSince(t0));
     }
 
     // Step 2b (--backend=batched): group planned points by frontier
@@ -1163,7 +1063,9 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
     // post-failure stage can only rediscover the representative's
     // findings. Each group is one scheduling unit; only its
     // representative executes. The oracle differential campaign
-    // re-checks every folded point against its representative.
+    // re-checks every folded point against its representative. The
+    // signature proves equivalence of anchor images only, so the
+    // durable tier schedules every planned point.
     std::uint32_t total_units =
         static_cast<std::uint32_t>(plan.points.size());
     struct WorkItem
@@ -1172,29 +1074,30 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
         std::uint32_t weight;
     };
     std::vector<WorkItem> schedule;
-    if (cfg.batchingOn() && !plan.points.empty()) {
+    if (cfg.batchingOn() && !cfg.durableTier() &&
+        !plan.points.empty()) {
         obs::SpanScope span(tl, "plan-batches", "phase", 0);
         auto t0 = std::chrono::steady_clock::now();
         BatchPlan batches = planBatches(pre_trace, plan.points,
                                         cfg.granularity, cfg.eadrOn());
-        result.stats.lintPrunedPoints = batches.foldedPoints();
-        result.stats.batchGroups = batches.groups.size();
+        totals.lintPrunedPoints = batches.foldedPoints();
+        totals.batchGroups = batches.groups.size();
         schedule.reserve(batches.groups.size());
         for (const auto &g : batches.groups) {
             schedule.push_back(
                 {g.rep, static_cast<std::uint32_t>(g.weight())});
         }
-        result.stats.phases.note(obs::Phase::LintPrune,
+        totals.phases.note(obs::Phase::LintPrune,
                                  secondsSince(t0));
     } else {
         schedule.reserve(plan.points.size());
         for (std::uint32_t fp : plan.points)
             schedule.push_back({fp, 1});
     }
-    result.stats.failurePoints = schedule.size();
-    result.stats.orderingCandidates = plan.candidates;
-    result.stats.elidedPoints = plan.elided;
-    result.stats.poolBytes = pool.size();
+    totals.failurePoints = schedule.size();
+    totals.orderingCandidates = plan.candidates;
+    totals.elidedPoints = plan.elided;
+    totals.poolBytes = pool.size();
 
     if (live)
         live->gauge("failure_points_planned", total_units);
@@ -1219,7 +1122,7 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
         initial.collectNonZeroPages(cfg.deltaPageSize,
                                     base_sync_pages);
         chunkSyncPages = &base_sync_pages;
-        result.stats.phases.note(obs::Phase::Plan, secondsSince(t0));
+        totals.phases.note(obs::Phase::Plan, secondsSince(t0));
     }
 
     std::uint32_t trace_end =
@@ -1239,9 +1142,17 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
     // whatever the worker count or item-to-worker assignment.
     std::deque<BugSink> item_sinks(schedule.size());
     std::deque<CampaignStats> stats(threads);
+    // Crash-state tiers other than the anchor need the cell model and
+    // its durable image: a partial candidate materializes as durable
+    // image + masked frontier events, and the durable tier runs on
+    // the durable image itself. Under eADR every frontier is empty
+    // (the durable image is the working image), so the extra
+    // bookkeeping is skipped.
+    const bool cells =
+        (cfg.crashStatesOn() || cfg.durableTier()) && !cfg.eadrOn();
     std::deque<PreCursor> cursors;
     for (unsigned t = 0; t < threads; t++)
-        cursors.emplace_back(pool.range(), cfg, initial);
+        cursors.emplace_back(pool.range(), cfg, initial, cells);
 
     // Per-worker observability sinks, merged deterministically
     // (worker order) into the observer after the join.
@@ -1361,27 +1272,27 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
     for (auto &s : item_sinks)
         merged.merge(s);
     for (unsigned t = 0; t < threads; t++) {
-        result.stats.postExecutions += stats[t].postExecutions;
-        result.stats.postTraceEntries += stats[t].postTraceEntries;
-        result.stats.crashStatesEnumerated +=
+        totals.postExecutions += stats[t].postExecutions;
+        totals.postTraceEntries += stats[t].postTraceEntries;
+        totals.crashStatesEnumerated +=
             stats[t].crashStatesEnumerated;
-        result.stats.crashStatesExplored +=
+        totals.crashStatesExplored +=
             stats[t].crashStatesExplored;
-        result.stats.crashStatesPruned += stats[t].crashStatesPruned;
+        totals.crashStatesPruned += stats[t].crashStatesPruned;
         for (auto &p : stats[t].crashPruned)
-            result.stats.crashPruned.push_back(std::move(p));
+            totals.crashPruned.push_back(std::move(p));
         if (threads == 1) {
-            result.stats.postSeconds += stats[t].postSeconds;
-            result.stats.backendSeconds += stats[t].backendSeconds;
+            totals.postSeconds += stats[t].postSeconds;
+            totals.backendSeconds += stats[t].backendSeconds;
         }
-        result.stats.checksPerformed +=
+        totals.checksPerformed +=
             cursors[t].shadow.checksPerformed();
-        result.stats.checksSkipped +=
+        totals.checksSkipped +=
             cursors[t].shadow.checksSkipped();
-        result.stats.restore.merge(stats[t].restore);
+        totals.restore.merge(stats[t].restore);
         // Phase counts are serial/parallel-invariant; with workers the
         // summed seconds are CPU time, like the per-worker stats above.
-        result.stats.phases.merge(stats[t].phases);
+        totals.phases.merge(stats[t].phases);
     }
     deltaStore = nullptr;
     chunkSyncPages = nullptr;
@@ -1389,7 +1300,7 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
     if (threads > 1) {
         // Per-thread CPU times overlap; report the wall time split
         // proportionally like the serial breakdown would be.
-        result.stats.postSeconds = wall;
+        totals.postSeconds = wall;
     }
 
     // Performance bugs come from one full pre-trace replay, and the
@@ -1400,18 +1311,19 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
     ShadowFsmCounters fsm;
     {
         obs::SpanScope span(tl, "perf-scan", "phase", 0);
-        PreCursor full(pool.range(), cfg, initial);
+        // Only the shadow and the working image matter here.
+        PreCursor full(pool.range(), cfg, initial, false);
         auto tb = std::chrono::steady_clock::now();
         advanceShadow(full, pre_trace, trace_end, &merged);
         advanceImage(full, pre_trace, trace_end);
         double scan_s = secondsSince(tb);
-        result.stats.backendSeconds += scan_s;
-        result.stats.phases.note(obs::Phase::Classify, scan_s);
+        totals.backendSeconds += scan_s;
+        totals.phases.note(obs::Phase::Classify, scan_s);
         full.image.copyTo(pool);
         fsm = full.shadow.fsmCounters();
     }
 
-    result.bugs = merged.bugs();
+    result.reports = merged.bugs();
 
     if (observer && cfg.collectStats && obs::statsCompiledIn) {
         std::array<std::uint64_t, trace::opCount> post_ops_total{};
@@ -1440,7 +1352,7 @@ Driver::fillObserverStats(
     using obs::Scalar;
 
     obs::StatsRegistry &reg = observer->stats;
-    const CampaignStats &s = res.stats;
+    const CampaignStats &s = res.statistics();
 
     auto set = [&](const std::string &name, const std::string &desc,
                    double v) {
@@ -1512,7 +1424,7 @@ Driver::fillObserverStats(
     set("campaign.threads", "worker threads used",
         static_cast<double>(s.threads));
     set("campaign.bugs", "distinct findings",
-        static_cast<double>(res.bugs.size()));
+        static_cast<double>(res.findings().size()));
     set("campaign.pre_seconds", "pre-failure stage wall seconds",
         s.preSeconds);
     set("campaign.post_seconds", "post-failure stage wall seconds",

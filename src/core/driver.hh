@@ -125,24 +125,33 @@ struct CampaignStats
 /**
  * Everything a campaign produced: findings, stats, per-phase timing
  * and the configuration it ran under — the first-class return object
- * of Driver::run()/xfd::Campaign::run(). Prefer the accessors
- * (findings(), statistics(), phases(), config(), fingerprint()) over
- * reaching into the public members; the members stay public for one
- * PR of source compatibility (removal schedule: DESIGN.md §16).
+ * of Driver::run()/xfd::Campaign::run(). Read-only outside the driver.
  */
-struct CampaignResult
+class CampaignResult
 {
-    std::vector<BugReport> bugs;
-    CampaignStats stats;
-
+  public:
     /** The deduplicated findings, in deterministic merge order. */
-    const std::vector<BugReport> &findings() const { return bugs; }
+    const std::vector<BugReport> &findings() const { return reports; }
 
     /** Timing/volume statistics of the campaign. */
-    const CampaignStats &statistics() const { return stats; }
+    const CampaignStats &statistics() const { return campaignStats; }
 
     /** Per-phase wall-time attribution of the campaign loop. */
-    const obs::PhaseTotals &phases() const { return stats.phases; }
+    const obs::PhaseTotals &
+    phases() const
+    {
+        return campaignStats.phases;
+    }
+
+    /**
+     * Charge @p seconds of a layer that extends the campaign (the
+     * oracle harness) to @p phase.
+     */
+    void
+    notePhase(obs::Phase phase, double seconds)
+    {
+        campaignStats.phases.note(phase, seconds);
+    }
 
     /** The DetectorConfig this campaign actually ran with. */
     const DetectorConfig &config() const { return runConfig; }
@@ -150,7 +159,7 @@ struct CampaignResult
     /** @return number of distinct findings of type @p t. */
     std::size_t count(BugType t) const;
 
-    bool hasBugs() const { return !bugs.empty(); }
+    bool hasBugs() const { return !reports.empty(); }
 
     /** Multi-line human-readable report. */
     std::string summary() const;
@@ -169,12 +178,16 @@ struct CampaignResult
      * persistedMask provenance has at least one cleared bit, i.e. the
      * anchor (all-updates) image of the same failure point did not
      * produce them. Meaningful for --crash-states campaigns; under
-     * --crash-image every finding's mask is all-zero by construction
-     * and counts here.
+     * the durable tier every finding's mask is all-zero by
+     * construction and counts here.
      */
     std::size_t partialImageFindings() const;
 
-    /** Filled by the driver; read through config(). */
+  private:
+    friend class Driver;
+
+    std::vector<BugReport> reports;
+    CampaignStats campaignStats;
     DetectorConfig runConfig;
 };
 
@@ -213,9 +226,10 @@ class Driver
     /**
      * Attach observability sinks: phase/failure-point spans land on
      * @p o's timeline, stat counters are aggregated into its registry
-     * at campaign end (when cfg.collectStats), and o->onProgress fires
-     * after every failure point. Pass nullptr to detach. The observer
-     * must outlive subsequent run()/runParallel() calls.
+     * at campaign end (when cfg.collectStats), and o->hooks receives
+     * the campaign events (see CampaignHooks). Pass nullptr to
+     * detach. The observer must outlive subsequent
+     * run()/runParallel() calls.
      */
     void setObserver(CampaignObserver *o) { observer = o; }
 
@@ -229,21 +243,21 @@ class Driver
         /**
          * @p initial is the shared campaign-start snapshot; both
          * images fork it (O(pages) pointer copies — pages physically
-         * split only as writes land).
+         * split only as writes land). @p cells enables the cell
+         * model and its durable image (see cs).
          */
         PreCursor(AddrRange range, const DetectorConfig &cfg,
-                  const pm::CowImage &initial);
+                  const pm::CowImage &initial, bool cells);
         ~PreCursor();
 
         ShadowPM shadow;
         /** All updates applied (the paper's footnote-3 image). */
         pm::CowImage image;
-        /** Persisted-only image (crashImageMode extension). */
+        /**
+         * Persisted-only image: the cell model's all-zero mask,
+         * maintained only alongside the cell model (see cs).
+         */
         pm::CowImage durable;
-        /** Lines written since their last durable copy. */
-        std::set<Addr> dirtyLines;
-        /** Lines flushed, awaiting the next fence. */
-        std::set<Addr> pendingLines;
         std::uint32_t shadowCursor = 0;
         std::uint32_t imageCursor = 0;
         /** TX_ADD ranges of the open transaction (perf bugs). */
@@ -252,11 +266,11 @@ class Driver
         /**
          * @name Frontier tracking (finding provenance)
          *
-         * Mirrors the line-granular persistency bookkeeping above,
-         * but keyed by write seq: inflight maps each dirty cache
-         * line to the seqs of writes covering it that are not yet
-         * durably persisted; inflightPending holds lines whose
-         * writes have been flushed and persist at the next fence.
+         * Line-granular persistency bookkeeping keyed by write seq:
+         * inflight maps each dirty cache line to the seqs of writes
+         * covering it that are not yet durably persisted;
+         * inflightPending holds lines whose writes have been flushed
+         * and persist at the next fence.
          * The sorted union of inflight's seq lists at a failure
          * point is that point's write frontier — the same identity
          * the crash-state oracle enumerates subsets of.
@@ -279,7 +293,7 @@ class Driver
         std::size_t sinceCheckpoint = 0;
         /**
          * Pages of the durable image changed since the last restore
-         * (crashImageMode: fences persist lines whose writes may
+         * (the durable tier: fences persist cells whose writes may
          * predate the restore window, so the write-log index cannot
          * derive the durable delta; track it where it happens).
          */
@@ -287,11 +301,11 @@ class Driver
         /** @} */
 
         /**
-         * Crash-state exploration state (--crash-states): a
-         * cell-granular mirror of the oracle's persistency model so
-         * the driver's frontiers, candidate masks and candidate
-         * images agree with the oracle's byte for byte. Null unless
-         * the campaign explores partial crash states.
+         * Crash-state tier state (--crash-states): a cell-granular
+         * mirror of the oracle's persistency model so the driver's
+         * frontiers, candidate masks and candidate images agree with
+         * the oracle's byte for byte. Null for anchor campaigns and
+         * under eADR.
          */
         struct CsState;
         std::unique_ptr<CsState> cs;
@@ -325,8 +339,10 @@ class Driver
 
     /**
      * Handle failure point @p fp end to end on @p exec_pool:
-     * reconstruct the image, run the post-failure stage, replay the
-     * post trace against the shadow.
+     * reconstruct the tier's image (the anchor, or the durable image
+     * under the durable tier), run the post-failure stage on it and
+     * on any partial candidates, replay each post trace against the
+     * shadow.
      */
     void handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
                             const trace::TraceBuffer &pre,
@@ -335,21 +351,38 @@ class Driver
                             const WorkerObs &wobs);
 
     /**
+     * Run the post-failure stage once on the crash image already in
+     * @p exec_pool and classify its trace: the one post-failure engine
+     * behind the anchor, the durable tier and every partial mask.
+     * Recovery aborts and wild PM accesses become RecoveryFailure
+     * findings; every finding is annotated with @p frontier and
+     * @p mask before merging into @p out.
+     * @return the classification (replay) seconds
+     */
+    double runCandidate(PreCursor &cur, pm::PmPool &exec_pool,
+                        const trace::TraceBuffer &pre,
+                        const ProgramFn &post, std::uint32_t fp,
+                        const std::vector<std::uint32_t> &frontier,
+                        const trace::SubsetMask &mask,
+                        bool suppressSemantic, BugSink &out,
+                        CampaignStats &stats, const WorkerObs &wobs);
+
+    /**
      * Replay one post-failure trace against the shadow PM.
      * @param suppressSemantic drop commit-window (condition (3))
-     *        verdicts — set for partial candidates that dropped a
-     *        commit-variable write, where recovery legitimately
-     *        observes the previous committed epoch.
+     *        verdicts — set for the durable image and for partial
+     *        candidates that dropped a commit-variable write, where
+     *        recovery legitimately observes an older committed epoch.
      */
     void replayPost(PreCursor &cur, const trace::TraceBuffer &pre,
                     const trace::TraceBuffer &post, std::uint32_t fp,
-                    BugSink &sink, bool suppressSemantic = false);
+                    BugSink &sink, bool suppressSemantic);
 
     /**
      * Partial crash-state exploration at failure point @p fp
      * (--crash-states=sample:<n>|exhaustive): enumerate the legal
-     * persisted subsets of the write frontier from the cursor's cell
-     * model, equivalence-prune against the campaign-global seen set,
+     * persisted subsets of @p frontier from the cursor's cell model,
+     * equivalence-prune against the campaign-global seen set,
      * materialize each surviving candidate (durable image + masked
      * frontier events) on @p exec_pool, run recovery and classify.
      * Candidate findings merge into @p local annotated with their
@@ -359,6 +392,7 @@ class Driver
     void exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
                             const trace::TraceBuffer &pre,
                             const ProgramFn &post, std::uint32_t fp,
+                            const std::vector<std::uint32_t> &frontier,
                             BugSink &local, CampaignStats &stats,
                             const WorkerObs &wobs);
 

@@ -71,7 +71,7 @@ std::string
 renderExplain(const CampaignResult &res, const std::string &selector,
               const trace::TraceBuffer *pre, std::string *err)
 {
-    if (res.bugs.empty()) {
+    if (res.findings().empty()) {
         if (err)
             *err = "the campaign produced no findings";
         return "";
@@ -79,8 +79,8 @@ renderExplain(const CampaignResult &res, const std::string &selector,
 
     if (selector == "all") {
         std::string s;
-        for (std::size_t i = 0; i < res.bugs.size(); i++)
-            s += explainOne(res.bugs[i], i, pre);
+        for (std::size_t i = 0; i < res.findings().size(); i++)
+            s += explainOne(res.findings()[i], i, pre);
         return s;
     }
 
@@ -90,15 +90,15 @@ renderExplain(const CampaignResult &res, const std::string &selector,
     char *endp = nullptr;
     unsigned long n = std::strtoul(digits, &endp, 10);
     if (endp == digits || *endp != '\0' || n == 0 ||
-        n > res.bugs.size()) {
+        n > res.findings().size()) {
         if (err) {
             *err = strprintf(
                 "no such finding \"%s\" (have F1..F%zu, or \"all\")",
-                selector.c_str(), res.bugs.size());
+                selector.c_str(), res.findings().size());
         }
         return "";
     }
-    return explainOne(res.bugs[n - 1], n - 1, pre);
+    return explainOne(res.findings()[n - 1], n - 1, pre);
 }
 
 } // namespace xfd::core

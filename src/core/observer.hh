@@ -16,12 +16,6 @@
  *              event-shaped — progress ticks, the captured pre-trace,
  *              per-failure-point findings.
  *
- * CampaignHooks replaces the three scattered std::function members
- * that accumulated here across PRs (onProgress, onPreTraceReady,
- * onFailurePoint). Those members remain as deprecated shims for one
- * PR — the driver fires both surfaces — and their removal schedule is
- * documented in DESIGN.md conventions.
- *
  * Attach with Driver::setObserver(); a null observer keeps the
  * driver's hot paths free of observability work.
  */
@@ -31,7 +25,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 
 #include "core/bug_report.hh"
 #include "obs/live.hh"
@@ -117,65 +110,31 @@ struct CampaignObserver
      */
     CampaignHooks *hooks = nullptr;
 
-    /**
-     * @name Deprecated functional hooks (v1)
-     * Superseded by CampaignHooks; the driver still fires these when
-     * set, after the hooks-interface call. Removal schedule:
-     * DESIGN.md §16.
-     * @{
-     */
-
-    /** @deprecated (done, total, bugs) — use CampaignHooks. */
-    using ProgressFn =
-        std::function<void(std::size_t, std::size_t, std::size_t)>;
-    ProgressFn onProgress;
-
-    /** @deprecated Use CampaignHooks::onPreTraceReady. */
-    using PreTraceFn = std::function<void(const trace::TraceBuffer &)>;
-    PreTraceFn onPreTraceReady;
-
-    /** @deprecated Use CampaignHooks::onFailurePoint. */
-    using FailurePointFn =
-        std::function<void(std::uint32_t fp, const BugSink &findings)>;
-    FailurePointFn onFailurePoint;
-
-    /** @} */
-
     /** Whether any progress consumer is attached. */
-    bool
-    wantsProgress() const
-    {
-        return hooks != nullptr || static_cast<bool>(onProgress);
-    }
+    bool wantsProgress() const { return hooks != nullptr; }
 
-    /** Deliver the pre-trace to whichever surfaces are attached. */
+    /** Deliver the pre-trace to the attached hooks. */
     void
     notifyPreTrace(const trace::TraceBuffer &pre)
     {
         if (hooks)
             hooks->onPreTraceReady(pre);
-        if (onPreTraceReady)
-            onPreTraceReady(pre);
     }
 
-    /** Deliver one failure point's findings to attached surfaces. */
+    /** Deliver one failure point's findings to the attached hooks. */
     void
     notifyFailurePoint(std::uint32_t fp, const BugSink &findings)
     {
         if (hooks)
             hooks->onFailurePoint(fp, findings);
-        if (onFailurePoint)
-            onFailurePoint(fp, findings);
     }
 
-    /** Deliver a progress tick to attached surfaces. */
+    /** Deliver a progress tick to the attached hooks. */
     void
     notifyProgress(const ProgressUpdate &u)
     {
         if (hooks)
             hooks->onProgress(u);
-        if (onProgress)
-            onProgress(u.done, u.total, u.bugs);
     }
 };
 

@@ -108,7 +108,7 @@ runFixCampaign(const FixConfig &fcfg)
 
     rep.baseline = runOne(nullptr, fcfg.observer);
     std::set<std::string> baselineKeys;
-    for (const core::BugReport &b : rep.baseline.bugs)
+    for (const core::BugReport &b : rep.baseline.findings())
         baselineKeys.insert(findingKeyOf(b));
 
     lint::LintConfig lcfg;
@@ -139,9 +139,9 @@ runFixCampaign(const FixConfig &fcfg)
                      p.describe().c_str());
 
             std::set<std::string> keys;
-            for (const core::BugReport &b : res.bugs)
+            for (const core::BugReport &b : res.findings())
                 keys.insert(findingKeyOf(b));
-            out.remainingFindings = res.bugs.size();
+            out.remainingFindings = res.findings().size();
             for (const std::string &k : keys) {
                 if (!baselineKeys.count(k))
                     out.newFindings++;
@@ -381,7 +381,7 @@ exportFixStats(const FixReport &r, obs::StatsRegistry &reg)
            static_cast<double>(r.unplanned.size()));
     scalar("campaign.fix.baseline_findings",
            "findings of the broken baseline campaign",
-           static_cast<double>(r.baseline.bugs.size()));
+           static_cast<double>(r.baseline.findings().size()));
 
     reg.formula("campaign.fix.verified_ratio", "verified / plans",
                 [&plans, &verified] {

@@ -148,9 +148,9 @@ runMutationCampaign(const MutationConfig &mcfg)
     // found here is a false positive — and pre-existing findings must
     // not score as detections of a mutant.
     rep.baseline = runOne(nullptr, mcfg.observer);
-    rep.baselineFindings = rep.baseline.bugs.size();
+    rep.baselineFindings = rep.baseline.findings().size();
     std::set<std::string> baselineKeys;
-    for (const core::BugReport &b : rep.baseline.bugs)
+    for (const core::BugReport &b : rep.baseline.findings())
         baselineKeys.insert(findingKey(b));
 
     for (std::size_t i = 0; i < mutants.size(); i++) {
@@ -163,7 +163,7 @@ runMutationCampaign(const MutationConfig &mcfg)
         out.fired = act.fired();
         if (!out.fired)
             warn("mutation %s never fired", m.describe().c_str());
-        for (const core::BugReport &b : res.bugs) {
+        for (const core::BugReport &b : res.findings()) {
             if (baselineKeys.count(findingKey(b)))
                 continue;
             if (matchesGroundTruth(b, m))

@@ -140,11 +140,11 @@ runDifferentialCampaign(pm::PmPool &pool, const core::ProgramFn &pre,
     DiffReport rep;
 
     core::DetectorConfig dcfg = cfg.detector;
-    if (dcfg.crashImageMode) {
-        warn("oracle: crash-image mode keeps a line-granular durable "
-             "image the cell-granular oracle cannot reproduce; "
-             "running the differential campaign without it");
-        dcfg.crashImageMode = false;
+    if (dcfg.durableTier()) {
+        warn("oracle: the durable crash-states tier is not checked by "
+             "the oracle; running the differential campaign on the "
+             "anchor instead");
+        dcfg.crashStates.clear();
     }
 
     pm::PmImage initial = pool.snapshot();
@@ -285,7 +285,7 @@ runDifferentialCampaign(pm::PmPool &pool, const core::ProgramFn &pre,
              std::map<std::string, std::set<core::BugType>>>
         oracleByFpMask;
     bool wantPruneRecheck =
-        csOn && !rep.detector.stats.crashPruned.empty();
+        csOn && !rep.detector.statistics().crashPruned.empty();
 
     bool wrotePreTrace = false;
     auto toracle = std::chrono::steady_clock::now();
@@ -430,7 +430,7 @@ runDifferentialCampaign(pm::PmPool &pool, const core::ProgramFn &pre,
     // so both enumerations produced it); identical verdicts mean the
     // pruning rule lost nothing.
     if (wantPruneRecheck) {
-        for (const auto &p : rep.detector.stats.crashPruned) {
+        for (const auto &p : rep.detector.statistics().crashPruned) {
             rep.crashPrunedRechecked++;
             const std::set<core::BugType> *skipped = nullptr;
             const std::set<core::BugType> *kept = nullptr;
@@ -454,8 +454,7 @@ runDifferentialCampaign(pm::PmPool &pool, const core::ProgramFn &pre,
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       toracle)
             .count();
-    rep.detector.stats.phases.note(obs::Phase::Oracle,
-                                   rep.oracleSeconds);
+    rep.detector.notePhase(obs::Phase::Oracle, rep.oracleSeconds);
     return rep;
 }
 

@@ -57,9 +57,8 @@ struct DiffConfig
 {
     /**
      * Campaign configuration for the detector side; the oracle
-     * mirrors its semantics knobs. crashImageMode is force-disabled
-     * (the driver's durable image is line-granular where the oracle's
-     * is cell-granular, so the images are not comparable).
+     * mirrors its semantics knobs. The durable crash-states tier is
+     * reset to the anchor (the oracle does not check that tier).
      */
     core::DetectorConfig detector;
 

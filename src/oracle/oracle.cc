@@ -383,8 +383,7 @@ CrashStateOracle::runCandidate(const core::ProgramFn &post,
             int v = classifyRead(e.addr, e.size, pflags, scoped);
             if (v == 1) {
                 classes.insert(core::BugType::CrossFailureRace);
-            } else if (v == 2 && !cfg.detector.crashImageMode &&
-                       !suppressSemantic) {
+            } else if (v == 2 && !suppressSemantic) {
                 // Mirrors the driver: the commit-window verdict
                 // assumes the all-updates image (and, per candidate,
                 // that no commit write was dropped).

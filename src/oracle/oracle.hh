@@ -79,8 +79,8 @@ struct OracleConfig
 
     /**
      * Detector knobs the oracle must mirror to stay comparable:
-     * granularity, firstReadOnly, strictPersistCheck and
-     * crashImageMode change what counts as a finding.
+     * granularity, firstReadOnly and strictPersistCheck change what
+     * counts as a finding.
      */
     core::DetectorConfig detector;
 };

@@ -132,17 +132,6 @@ class Campaign
         return *this;
     }
 
-    /**
-     * @deprecated Use backend("delta") / backend("full"); kept one PR
-     * for source compatibility (removal schedule: DESIGN.md §16).
-     */
-    Campaign &
-    deltaImages(bool on = true)
-    {
-        cfg.backend = on ? "delta" : "full";
-        return *this;
-    }
-
     /** Delta restore granularity in bytes (power of two >= 64). */
     Campaign &
     deltaPageSize(std::size_t bytes)
@@ -159,11 +148,18 @@ class Campaign
         return *this;
     }
 
-    /** Realistic crash image instead of the keep-everything copy. */
+    /**
+     * Realistic crash image instead of the keep-everything copy: an
+     * alias of the "durable" crash-states tier (--crash-image).
+     * Turning it off returns to the anchor.
+     */
     Campaign &
     crashImage(bool on = true)
     {
-        cfg.crashImageMode = on;
+        if (on)
+            cfg.crashStates = "durable";
+        else if (cfg.durableTier())
+            cfg.crashStates.clear();
         return *this;
     }
 
@@ -215,17 +211,6 @@ class Campaign
     lintRules(const std::string &rules)
     {
         cfg.lintRules = rules;
-        return *this;
-    }
-
-    /**
-     * @deprecated Use backend("batched"); kept one PR for source
-     * compatibility (removal schedule: DESIGN.md §16).
-     */
-    Campaign &
-    lintPrune(bool on = true)
-    {
-        cfg.backend = on ? "batched" : "delta";
         return *this;
     }
 

@@ -77,7 +77,7 @@ inline std::vector<std::tuple<int, unsigned, unsigned, std::string>>
 fingerprint(const xfd::core::CampaignResult &res)
 {
     std::vector<std::tuple<int, unsigned, unsigned, std::string>> out;
-    for (const auto &b : res.bugs) {
+    for (const auto &b : res.findings()) {
         out.emplace_back(static_cast<int>(b.type), b.reader.line,
                          b.writer.line, b.note);
     }
@@ -131,7 +131,7 @@ hasNoFindingOfClass(const xfd::core::CampaignResult &res,
 inline ::testing::AssertionResult
 hasNoFindings(const xfd::core::CampaignResult &res)
 {
-    if (res.bugs.empty())
+    if (res.findings().empty())
         return ::testing::AssertionSuccess();
     return ::testing::AssertionFailure()
            << "expected a clean campaign\n"

@@ -4,7 +4,7 @@
  * mode: a fixed sampler seed yields byte-identical finding
  * fingerprints serial vs. parallel and across all three campaign
  * backends (the sampler stream is keyed by equivalence class, not by
- * schedule); equivalence-class pruning actually skips a substantial
+ * schedule), and so does the durable tier; equivalence-class pruning actually skips a substantial
  * share of the enumerated subsets; and the oracle re-runs what the
  * detector pruned, agreeing with the kept representative on every
  * candidate (agreement 1.0).
@@ -14,6 +14,8 @@
 
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bugsuite/registry.hh"
 #include "harness.hh"
@@ -40,11 +42,11 @@ smallConfig(const std::string &name)
 }
 
 core::CampaignResult
-runExplored(const std::string &name, const std::string &backend,
-            unsigned threads)
+runExplored(const std::string &name, const std::string &tier,
+            const std::string &backend, unsigned threads)
 {
     RunOptions opt;
-    opt.detector.crashStates = "sample:16";
+    opt.detector.crashStates = tier;
     opt.detector.backend = backend;
     opt.threads = threads;
     return xfdtest::runWorkload(name, smallConfig(name), opt);
@@ -52,47 +54,61 @@ runExplored(const std::string &name, const std::string &backend,
 
 TEST(CrashStatesDeterminism, FingerprintStableAcrossSchedules)
 {
-    for (const std::string name :
-         {"btree", "hashmap_atomic", "ringlog"}) {
-        SCOPED_TRACE(name);
-        core::CampaignResult serial = runExplored(name, "delta", 1);
-        auto want = xfdtest::fingerprint(serial);
-        EXPECT_EQ(want, xfdtest::fingerprint(
-                            runExplored(name, "delta", 4)));
-        EXPECT_EQ(want, xfdtest::fingerprint(
-                            runExplored(name, "full", 1)));
-        EXPECT_EQ(want, xfdtest::fingerprint(
-                            runExplored(name, "batched", 1)));
-        EXPECT_EQ(want, xfdtest::fingerprint(
-                            runExplored(name, "batched", 4)));
+    for (const std::string tier : {"sample:16", "durable"}) {
+        for (const std::string name :
+             {"btree", "hashmap_atomic", "ringlog"}) {
+            SCOPED_TRACE(tier + " " + name);
+            core::CampaignResult serial =
+                runExplored(name, tier, "delta", 1);
+            auto want = xfdtest::fingerprint(serial);
+            EXPECT_EQ(want, xfdtest::fingerprint(
+                                runExplored(name, tier, "delta", 4)));
+            EXPECT_EQ(want, xfdtest::fingerprint(
+                                runExplored(name, tier, "full", 1)));
+            EXPECT_EQ(want, xfdtest::fingerprint(runExplored(
+                                name, tier, "batched", 1)));
+            EXPECT_EQ(want, xfdtest::fingerprint(runExplored(
+                                name, tier, "batched", 4)));
+        }
     }
 }
 
 TEST(CrashStatesDeterminism, PlantedBugFingerprintStable)
 {
     // The interesting schedules are the ones that actually carry
-    // partial-image findings.
-    const auto cases = bugsuite::bugCasesFor("ringlog");
-    ASSERT_GE(cases.size(), 1u);
-    const auto &c = cases.front();
-    auto run = [&](const char *backend, unsigned threads) {
-        workloads::WorkloadConfig wcfg;
-        wcfg.initOps = c.initOps;
-        wcfg.testOps = c.testOps;
-        wcfg.postOps = c.postOps;
-        wcfg.bugs.enable(c.id);
-        RunOptions opt;
-        opt.detector.crashStates = c.crashStates;
-        opt.detector.backend = backend;
-        opt.threads = threads;
-        return xfdtest::fingerprint(
-            xfdtest::runWorkload(c.workload, wcfg, opt));
-    };
-    auto want = run("delta", 1);
-    EXPECT_FALSE(want.empty());
-    EXPECT_EQ(want, run("delta", 4));
-    EXPECT_EQ(want, run("full", 1));
-    EXPECT_EQ(want, run("batched", 1));
+    // findings: a partial-image bug under its registry tier, and a
+    // race whose batched fold once hid a durable-image finding.
+    const auto ringlog = bugsuite::bugCasesFor("ringlog");
+    ASSERT_GE(ringlog.size(), 1u);
+    std::vector<std::pair<bugsuite::BugCase, std::string>> planted = {
+        {ringlog.front(), ringlog.front().crashStates}};
+    for (const auto &c : bugsuite::bugCasesFor("hashmap_tx")) {
+        if (c.id == "hashmap_tx.race.rebuild_bucketsptr_no_add")
+            planted.emplace_back(c, "durable");
+    }
+    ASSERT_EQ(planted.size(), 2u);
+    for (const auto &[c, tier] : planted) {
+        SCOPED_TRACE(c.id + " " + tier);
+        auto run = [&](const char *backend, unsigned threads) {
+            workloads::WorkloadConfig wcfg;
+            wcfg.initOps = c.initOps;
+            wcfg.testOps = c.testOps;
+            wcfg.postOps = c.postOps;
+            wcfg.bugs.enable(c.id);
+            RunOptions opt;
+            opt.detector.crashStates = tier;
+            opt.detector.backend = backend;
+            opt.threads = threads;
+            return xfdtest::fingerprint(
+                xfdtest::runWorkload(c.workload, wcfg, opt));
+        };
+        auto want = run("delta", 1);
+        EXPECT_FALSE(want.empty());
+        EXPECT_EQ(want, run("delta", 4));
+        EXPECT_EQ(want, run("full", 1));
+        EXPECT_EQ(want, run("batched", 1));
+        EXPECT_EQ(want, run("batched", 4));
+    }
 }
 
 TEST(CrashStatesPruning, EquivalenceClassesSkipSubstantialShare)
@@ -111,7 +127,7 @@ TEST(CrashStatesPruning, EquivalenceClassesSkipSubstantialShare)
         opt.detector.crashStates = "sample:64";
         core::CampaignResult res =
             xfdtest::runWorkload(name, wcfg, opt);
-        const core::CampaignStats &s = res.stats;
+        const core::CampaignStats &s = res.statistics();
         ASSERT_GT(s.crashStatesEnumerated, 0u);
         EXPECT_EQ(s.crashStatesEnumerated,
                   s.crashStatesExplored + s.crashStatesPruned);

@@ -57,7 +57,7 @@ TEST(CrashStatesRecall, SampledExplorationFindsPartialImageBugs)
         // The finding's provenance is a partial image: a proper
         // subset of the frontier persisted.
         EXPECT_GT(res.partialImageFindings(), 0u) << res.summary();
-        EXPECT_GT(res.stats.crashStatesExplored, 0u);
+        EXPECT_GT(res.statistics().crashStatesExplored, 0u);
     }
 }
 

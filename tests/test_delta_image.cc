@@ -220,7 +220,7 @@ std::vector<std::string>
 fingerprint(const CampaignResult &res)
 {
     std::vector<std::string> fp;
-    for (const auto &b : res.bugs) {
+    for (const auto &b : res.findings()) {
         fp.push_back(strprintf(
             "%d %#llx %u %s:%u %s:%u fp=%u n=%u",
             static_cast<int>(b.type),
@@ -295,10 +295,10 @@ expectEquivalent(const std::string &name, unsigned threads,
 
     DetectorConfig full;
     full.backend = "full";
-    full.crashImageMode = crashImage;
+    full.crashStates = crashImage ? "durable" : "";
     DetectorConfig delta;
     delta.backend = "delta";
-    delta.crashImageMode = crashImage;
+    delta.crashStates = crashImage ? "durable" : "";
     // A small cadence exercises the resync path inside one campaign.
     delta.deltaCheckpointInterval = 3;
 
@@ -309,18 +309,19 @@ expectEquivalent(const std::string &name, unsigned threads,
                                 threads, crashImage);
     EXPECT_EQ(fingerprint(a.result), fingerprint(b.result)) << ctx;
     EXPECT_EQ(a.poolHashes, b.poolHashes) << ctx;
-    EXPECT_EQ(a.result.stats.failurePoints, b.result.stats.failurePoints)
+    EXPECT_EQ(a.result.statistics().failurePoints,
+              b.result.statistics().failurePoints)
         << ctx;
 
     // The engine must actually have taken the delta path, and moved
     // fewer bytes than one full copy per post execution would.
-    const auto &r = b.result.stats.restore;
-    if (b.result.stats.postExecutions > 1) {
+    const auto &r = b.result.statistics().restore;
+    if (b.result.statistics().postExecutions > 1) {
         EXPECT_GT(r.deltaRestores, 0u) << ctx;
-        EXPECT_LT(r.bytesCopied(), a.result.stats.restore.bytesCopied())
+        EXPECT_LT(r.bytesCopied(), a.result.statistics().restore.bytesCopied())
             << ctx;
     }
-    EXPECT_EQ(a.result.stats.restore.deltaRestores, 0u) << ctx;
+    EXPECT_EQ(a.result.statistics().restore.deltaRestores, 0u) << ctx;
 }
 
 TEST(DeltaEquivalence, EveryWorkloadSerial)

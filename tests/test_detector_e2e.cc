@@ -122,9 +122,9 @@ TEST_F(DetectorE2E, CorrectProtocolHasNoFindings)
 {
     Fig2Program prog{true};
     CampaignResult res = runCampaign(prog);
-    EXPECT_EQ(res.bugs.size(), 0u) << res.summary();
-    EXPECT_GT(res.stats.failurePoints, 0u);
-    EXPECT_EQ(res.stats.postExecutions, res.stats.failurePoints);
+    EXPECT_EQ(res.findings().size(), 0u) << res.summary();
+    EXPECT_GT(res.statistics().failurePoints, 0u);
+    EXPECT_EQ(res.statistics().postExecutions, res.statistics().failurePoints);
 }
 
 TEST_F(DetectorE2E, BuggyProtocolYieldsRaceAndSemanticBug)
@@ -142,7 +142,7 @@ TEST_F(DetectorE2E, BugReportPointsAtReaderAndWriter)
     Fig2Program prog{false};
     CampaignResult res = runCampaign(prog);
     ASSERT_TRUE(res.hasBugs());
-    for (const auto &b : res.bugs) {
+    for (const auto &b : res.findings()) {
         EXPECT_GT(b.reader.line, 0u);
         EXPECT_NE(std::string(b.reader.file).find("test_detector_e2e"),
                   std::string::npos);
@@ -154,7 +154,7 @@ TEST_F(DetectorE2E, FailurePointCountMatchesOrderingPoints)
     // Four persist barriers inside the RoI -> four failure points.
     Fig2Program prog{true};
     CampaignResult res = runCampaign(prog);
-    EXPECT_EQ(res.stats.failurePoints, 4u);
+    EXPECT_EQ(res.statistics().failurePoints, 4u);
 }
 
 TEST_F(DetectorE2E, PoolHoldsFinalStateAfterCampaign)
@@ -174,7 +174,7 @@ TEST_F(DetectorE2E, DedupeAcrossFailurePoints)
     CampaignResult res = runCampaign(prog);
     // The same reader/writer pair at several failure points is one
     // finding with occurrences counted.
-    for (const auto &b : res.bugs)
+    for (const auto &b : res.findings())
         EXPECT_GE(b.occurrences, 1u);
     std::size_t races = res.count(BugType::CrossFailureRace);
     EXPECT_LE(races, 2u);
@@ -192,7 +192,7 @@ TEST_F(DetectorE2E, RecoveryFailureReported)
             (void)rt;
         });
     EXPECT_EQ(res.count(BugType::RecoveryFailure), 1u);
-    EXPECT_EQ(res.bugs[0].note, "recovery exploded");
+    EXPECT_EQ(res.findings()[0].note, "recovery exploded");
 }
 
 TEST_F(DetectorE2E, PerformanceBugRedundantFlush)
@@ -241,8 +241,8 @@ TEST_F(DetectorE2E, CompleteDetectionTerminatesPost)
             trace::RoiScope roi(rt);
             rt.completeDetection();
         });
-    EXPECT_EQ(res.bugs.size(), 0u);
-    EXPECT_EQ(res.stats.postExecutions, res.stats.failurePoints);
+    EXPECT_EQ(res.findings().size(), 0u);
+    EXPECT_EQ(res.statistics().postExecutions, res.statistics().failurePoints);
 }
 
 TEST_F(DetectorE2E, BaselineModesRun)
@@ -261,12 +261,12 @@ TEST_F(DetectorE2E, StatsAreCoherent)
 {
     Fig2Program prog{false};
     CampaignResult res = runCampaign(prog);
-    EXPECT_GT(res.stats.preTraceEntries, 0u);
-    EXPECT_GT(res.stats.postTraceEntries, 0u);
-    EXPECT_GT(res.stats.checksPerformed, 0u);
-    EXPECT_GE(res.stats.preSeconds, 0.0);
-    EXPECT_EQ(res.stats.orderingCandidates,
-              res.stats.failurePoints + res.stats.elidedPoints);
+    EXPECT_GT(res.statistics().preTraceEntries, 0u);
+    EXPECT_GT(res.statistics().postTraceEntries, 0u);
+    EXPECT_GT(res.statistics().checksPerformed, 0u);
+    EXPECT_GE(res.statistics().preSeconds, 0.0);
+    EXPECT_EQ(res.statistics().orderingCandidates,
+              res.statistics().failurePoints + res.statistics().elidedPoints);
 }
 
 TEST_F(DetectorE2E, SummaryMentionsBugTypes)

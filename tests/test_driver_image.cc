@@ -52,7 +52,7 @@ TEST(DriverImage, PostStageSeesPrefixExactImage)
             // the driver's own trace is identical by determinism).
         },
         [&](PmRuntime &rt) { seen_hashes.push_back(hash_pool(rt.pool())); });
-    ASSERT_EQ(seen_hashes.size(), res.stats.failurePoints);
+    ASSERT_EQ(seen_hashes.size(), res.statistics().failurePoints);
 
     // Oracle: re-run the pre stage on a fresh pool to regenerate the
     // identical trace, then reconstruct each prefix image by hand.
@@ -108,13 +108,13 @@ TEST(DriverImage, UnpersistedWritesAreInTheImage)
 
 TEST(DriverImage, CrashImageModeDropsUnpersistedWrites)
 {
-    // The extension's counterpart of footnote 3: in crashImageMode
-    // the post-failure stage sees only data that was flushed AND
-    // fenced by the failure point.
+    // The extension's counterpart of footnote 3: under the durable
+    // crash-states tier the post-failure stage sees only data that
+    // was flushed AND fenced by the failure point.
     pm::PmPool pool(1 << 20);
     std::vector<std::pair<std::uint64_t, std::uint64_t>> seen;
     core::DetectorConfig dcfg;
-    dcfg.crashImageMode = true;
+    dcfg.crashStates = "durable";
     core::Driver driver(pool, dcfg);
     driver.run(
         [&](PmRuntime &rt) {
@@ -142,6 +142,40 @@ TEST(DriverImage, CrashImageModeDropsUnpersistedWrites)
     EXPECT_EQ(seen[1].second, 0xbbbbu);
 }
 
+TEST(DriverImage, DurableTierDropsStoreAfterLineFlush)
+{
+    // Durability is per cell, not per line: a store that lands in a
+    // line after the line's writeback started is not covered by that
+    // writeback, so the fence after it persists only the flushed
+    // cell. A line-granular image would copy the whole line.
+    pm::PmPool pool(1 << 20);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> seen;
+    core::DetectorConfig dcfg;
+    dcfg.crashStates = "durable";
+    core::Driver driver(pool, dcfg);
+    driver.run(
+        [&](PmRuntime &rt) {
+            auto *a = rt.pool().at<std::uint64_t>(0);
+            auto *b = rt.pool().at<std::uint64_t>(8); // a's line
+            auto *c = rt.pool().at<std::uint64_t>(128);
+            trace::RoiScope roi(rt);
+            rt.store(*a, std::uint64_t{0xaaaa});
+            rt.clwb(a, 8);
+            rt.store(*b, std::uint64_t{0xbbbb}); // after the flush
+            rt.sfence();
+            rt.store(*c, std::uint64_t{0xcccc});
+            rt.sfence();
+        },
+        [&](PmRuntime &rt) {
+            seen.emplace_back(*rt.pool().at<std::uint64_t>(0),
+                              *rt.pool().at<std::uint64_t>(8));
+        });
+    ASSERT_GE(seen.size(), 2u);
+    // At the later failure point a is durable, b's store is not.
+    EXPECT_EQ(seen.back().first, 0xaaaau);
+    EXPECT_EQ(seen.back().second, 0u);
+}
+
 TEST(DriverImage, CleanWorkloadsSurviveRealCrashImages)
 {
     // Crash-consistent programs must recover from *realistic* crash
@@ -154,7 +188,7 @@ TEST(DriverImage, CleanWorkloadsSurviveRealCrashImages)
         auto w = workloads::makeWorkload(name, cfg);
         pm::PmPool pool(1 << 22);
         core::DetectorConfig dcfg;
-        dcfg.crashImageMode = true;
+        dcfg.crashStates = "durable";
         core::Driver driver(pool, dcfg);
         auto res =
             driver.run([&](PmRuntime &rt) { w->pre(rt); },
@@ -178,7 +212,7 @@ TEST(DriverImage, BugStillDetectedInCrashImageMode)
     auto w = workloads::makeWorkload("btree", cfg);
     pm::PmPool pool(1 << 22);
     core::DetectorConfig dcfg;
-    dcfg.crashImageMode = true;
+    dcfg.crashStates = "durable";
     core::Driver driver(pool, dcfg);
     auto res = driver.run([&](PmRuntime &rt) { w->pre(rt); },
                           [&](PmRuntime &rt) { w->post(rt); });
@@ -199,8 +233,8 @@ TEST(DriverImage, MaxFailurePointsCapsExecutions)
     auto res =
         driver.run([&](PmRuntime &rt) { w->pre(rt); },
                    [&](PmRuntime &rt) { w->post(rt); });
-    EXPECT_EQ(res.stats.failurePoints, 5u);
-    EXPECT_EQ(res.stats.postExecutions, 5u);
+    EXPECT_EQ(res.statistics().failurePoints, 5u);
+    EXPECT_EQ(res.statistics().postExecutions, 5u);
 }
 
 } // namespace

@@ -74,7 +74,7 @@ expectVerifiedRepair(const std::string &bugId)
 {
     SCOPED_TRACE(bugId);
     fix::FixReport rep = sweepCase(bugId);
-    ASSERT_FALSE(rep.baseline.bugs.empty())
+    ASSERT_FALSE(rep.baseline.findings().empty())
         << "case no longer manifests at the sweep size";
     EXPECT_GE(rep.verified, 1u) << rep.scoreboard();
     EXPECT_EQ(rep.regressed, 0u) << rep.scoreboard();
@@ -136,7 +136,7 @@ expectHonestIncomplete(const std::string &bugId)
 {
     SCOPED_TRACE(bugId);
     fix::FixReport rep = sweepCase(bugId);
-    ASSERT_FALSE(rep.baseline.bugs.empty())
+    ASSERT_FALSE(rep.baseline.findings().empty())
         << "case no longer manifests at the sweep size";
     EXPECT_EQ(rep.regressed, 0u) << rep.scoreboard();
     EXPECT_GE(rep.incomplete + rep.unplanned.size(), 1u)

@@ -142,7 +142,7 @@ detectorRacingSlots(const std::vector<FuzzOp> &ops, unsigned gran = 1)
         });
 
     std::set<unsigned> racy;
-    for (const auto &b : res.bugs) {
+    for (const auto &b : res.findings()) {
         if (b.type != core::BugType::CrossFailureRace)
             continue;
         racy.insert(static_cast<unsigned>(

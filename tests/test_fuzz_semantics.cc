@@ -150,7 +150,7 @@ detector(const std::vector<FuzzOp> &ops)
         });
 
     Verdicts v;
-    for (const auto &b : res.bugs) {
+    for (const auto &b : res.findings()) {
         auto slot =
             static_cast<unsigned>((b.addr - pool.base()) / slotStride);
         if (b.type == core::BugType::CrossFailureRace)

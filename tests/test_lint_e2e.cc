@@ -54,17 +54,23 @@ TraceBuffer
 captureTrace(const std::string &workload,
              workloads::WorkloadConfig wcfg, unsigned threads = 1)
 {
-    TraceBuffer captured;
+    struct Capture : core::CampaignHooks
+    {
+        TraceBuffer captured;
+        void
+        onPreTraceReady(const TraceBuffer &b) override
+        {
+            captured = b;
+        }
+    } capture;
     core::CampaignObserver obs;
-    obs.onPreTraceReady = [&captured](const TraceBuffer &b) {
-        captured = b;
-    };
+    obs.hooks = &capture;
     RunOptions opt;
     opt.observer = &obs;
     opt.threads = threads;
     opt.detector.maxFailurePoints = 1;
     xfdtest::runWorkload(workload, std::move(wcfg), opt);
-    return captured;
+    return capture.captured;
 }
 
 /** Lint @p buf with the planner's failure points supplied. */
@@ -172,20 +178,20 @@ TEST(LintE2E, PruningPreservesFindingsAcrossWorkloads)
         core::CampaignResult off = runPruned(name, wcfg, false);
         core::CampaignResult on = runPruned(name, wcfg, true);
 
-        EXPECT_EQ(off.stats.lintPrunedPoints, 0u);
+        EXPECT_EQ(off.statistics().lintPrunedPoints, 0u);
         // ringlog's frontier signatures embed its monotonically
         // increasing counters, so no two failure points fold.
         if (name != "ringlog") {
-            EXPECT_GT(on.stats.lintPrunedPoints, 0u);
+            EXPECT_GT(on.statistics().lintPrunedPoints, 0u);
         }
         EXPECT_EQ(xfdtest::fingerprint(off), xfdtest::fingerprint(on))
             << "pruned campaign changed the finding set\n"
             << off.summary() << on.summary();
 
         std::size_t total =
-            on.stats.failurePoints + on.stats.lintPrunedPoints;
+            on.statistics().failurePoints + on.statistics().lintPrunedPoints;
         ASSERT_GT(total, 0u);
-        if (static_cast<double>(on.stats.lintPrunedPoints) /
+        if (static_cast<double>(on.statistics().lintPrunedPoints) /
                 static_cast<double>(total) >=
             0.2) {
             deepPrunes++;

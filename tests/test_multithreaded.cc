@@ -112,7 +112,7 @@ TEST(Multithreaded, IndependentTasksAreClean)
     auto res = runParallelPre(false);
     EXPECT_EQ(res.count(BugType::CrossFailureRace), 0u)
         << res.summary();
-    EXPECT_GT(res.stats.failurePoints, 0u);
+    EXPECT_GT(res.statistics().failurePoints, 0u);
 }
 
 TEST(Multithreaded, PerThreadMissingPersistDetected)
@@ -122,7 +122,7 @@ TEST(Multithreaded, PerThreadMissingPersistDetected)
         << res.summary();
     // The racy slot belongs to thread 1's region.
     bool in_thread1_region = false;
-    for (const auto &b : res.bugs) {
+    for (const auto &b : res.findings()) {
         if (b.type == BugType::CrossFailureRace &&
             b.addr >= defaultPoolBase + regionStride &&
             b.addr < defaultPoolBase + 2 * regionStride) {

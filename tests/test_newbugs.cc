@@ -34,7 +34,7 @@ findCase(const std::string &id_or_workload)
 bool
 anyReaderIn(const core::CampaignResult &res, const char *file_part)
 {
-    for (const auto &b : res.bugs) {
+    for (const auto &b : res.findings()) {
         if (std::string(b.reader.file).find(file_part) !=
             std::string::npos) {
             return true;
@@ -55,7 +55,7 @@ TEST(NewBugs, Bug1HashmapMetadataUnpersisted)
     BugCase fixed = c;
     fixed.id.clear();
     auto clean = bugsuite::runBugCase(fixed);
-    EXPECT_EQ(clean.bugs.size(), 0u) << clean.summary();
+    EXPECT_EQ(clean.findings().size(), 0u) << clean.summary();
 }
 
 TEST(NewBugs, Bug2CountNeverInitialized)
@@ -65,7 +65,7 @@ TEST(NewBugs, Bug2CountNeverInitialized)
     ASSERT_GE(res.count(BugType::CrossFailureRace), 1u)
         << res.summary();
     bool uninit_note = false;
-    for (const auto &b : res.bugs) {
+    for (const auto &b : res.findings()) {
         if (b.note.find("never initialized") != std::string::npos)
             uninit_note = true;
     }
@@ -73,7 +73,7 @@ TEST(NewBugs, Bug2CountNeverInitialized)
 
     BugCase fixed = c;
     fixed.id.clear();
-    EXPECT_EQ(bugsuite::runBugCase(fixed).bugs.size(), 0u);
+    EXPECT_EQ(bugsuite::runBugCase(fixed).findings().size(), 0u);
 }
 
 TEST(NewBugs, Bug3RedisInitUnprotected)
@@ -86,7 +86,7 @@ TEST(NewBugs, Bug3RedisInitUnprotected)
 
     BugCase fixed = c;
     fixed.id.clear();
-    EXPECT_EQ(bugsuite::runBugCase(fixed).bugs.size(), 0u);
+    EXPECT_EQ(bugsuite::runBugCase(fixed).findings().size(), 0u);
 }
 
 TEST(NewBugs, Bug4PoolCreationNotFailureAtomic)
@@ -96,7 +96,7 @@ TEST(NewBugs, Bug4PoolCreationNotFailureAtomic)
     EXPECT_GE(res.count(BugType::RecoveryFailure), 1u)
         << res.summary();
     bool metadata_note = false;
-    for (const auto &b : res.bugs) {
+    for (const auto &b : res.findings()) {
         if (b.note.find("incomplete pool metadata") != std::string::npos)
             metadata_note = true;
     }

@@ -283,16 +283,16 @@ TEST(CampaignExport, StatsRegistryMatchesCampaignStats)
 
     const obs::StatsRegistry &reg = obs.stats;
     EXPECT_EQ(reg.value("campaign.failure_points"),
-              static_cast<double>(res.stats.failurePoints));
+              static_cast<double>(res.statistics().failurePoints));
     EXPECT_EQ(reg.value("campaign.post_executions"),
-              static_cast<double>(res.stats.postExecutions));
+              static_cast<double>(res.statistics().postExecutions));
     EXPECT_EQ(reg.value("campaign.checks_performed"),
-              static_cast<double>(res.stats.checksPerformed));
+              static_cast<double>(res.statistics().checksPerformed));
     EXPECT_EQ(reg.value("campaign.checks_skipped"),
-              static_cast<double>(res.stats.checksSkipped));
-    EXPECT_EQ(reg.value("campaign.pre_seconds"), res.stats.preSeconds);
+              static_cast<double>(res.statistics().checksSkipped));
+    EXPECT_EQ(reg.value("campaign.pre_seconds"), res.statistics().preSeconds);
     EXPECT_EQ(reg.value("campaign.total_seconds"),
-              res.stats.totalSeconds());
+              res.statistics().totalSeconds());
 
     // Shadow-FSM edges: a btree campaign writes, flushes and fences.
     EXPECT_GT(reg.value("shadow_fsm.edge.Modified_to_WritebackPending"),
@@ -309,7 +309,7 @@ TEST(CampaignExport, StatsRegistryMatchesCampaignStats)
     const auto *h = dynamic_cast<const obs::Histogram *>(
         reg.find("campaign.post_exec_latency_us"));
     ASSERT_NE(h, nullptr);
-    EXPECT_EQ(h->count(), res.stats.postExecutions);
+    EXPECT_EQ(h->count(), res.statistics().postExecutions);
 }
 
 TEST(CampaignExport, StatsJsonDocumentIsValid)
@@ -323,20 +323,20 @@ TEST(CampaignExport, StatsJsonDocumentIsValid)
     EXPECT_EQ(doc.at("schema").str, "xfd-stats-v1");
     const Json &camp = doc.at("campaign");
     EXPECT_EQ(camp.at("failure_points").num,
-              static_cast<double>(res.stats.failurePoints));
+              static_cast<double>(res.statistics().failurePoints));
     EXPECT_EQ(camp.at("checks_performed").num,
-              static_cast<double>(res.stats.checksPerformed));
-    EXPECT_EQ(camp.at("pre_seconds").num, res.stats.preSeconds);
-    EXPECT_EQ(camp.at("post_seconds").num, res.stats.postSeconds);
+              static_cast<double>(res.statistics().checksPerformed));
+    EXPECT_EQ(camp.at("pre_seconds").num, res.statistics().preSeconds);
+    EXPECT_EQ(camp.at("post_seconds").num, res.statistics().postSeconds);
     EXPECT_EQ(camp.at("backend_seconds").num,
-              res.stats.backendSeconds);
+              res.statistics().backendSeconds);
     EXPECT_EQ(doc.at("bugs").at("total").num,
-              static_cast<double>(res.bugs.size()));
+              static_cast<double>(res.findings().size()));
     const Json &restore = doc.at("restore");
     EXPECT_EQ(restore.at("pool_bytes").num,
-              static_cast<double>(res.stats.poolBytes));
+              static_cast<double>(res.statistics().poolBytes));
     EXPECT_EQ(restore.at("bytes_copied").num,
-              static_cast<double>(res.stats.restore.bytesCopied()));
+              static_cast<double>(res.statistics().restore.bytesCopied()));
     if (obs::statsCompiledIn) {
         EXPECT_NE(doc.at("stats").find("campaign.post_exec_latency_us"),
                   nullptr);
@@ -349,7 +349,7 @@ TEST(CampaignExport, StatsJsonEchoesEveryConfigFlag)
     auto res = runObserved("btree", 1, obs);
 
     core::DetectorConfig dcfg;
-    dcfg.crashImageMode = true;
+    dcfg.crashStates = "durable";
     dcfg.deltaPageSize = 256;
     std::ostringstream os;
     core::writeStatsJson(res, &dcfg, &obs.stats, os);
@@ -357,13 +357,13 @@ TEST(CampaignExport, StatsJsonEchoesEveryConfigFlag)
 
     const Json &conf = doc.at("config");
     for (const auto &d : core::detectorFlagTable()) {
-        // Deprecated alias rows write through a canonical field and
+        // Alias rows write through a canonical field and
         // are deliberately absent from the echo.
         if (d.alias)
             continue;
         EXPECT_NE(conf.find(d.jsonKey), nullptr) << d.jsonKey;
     }
-    EXPECT_TRUE(conf.at("crash_image_mode").b);
+    EXPECT_EQ(conf.at("crash_states").str, "durable");
     EXPECT_EQ(conf.at("backend").str, "delta");
     EXPECT_EQ(conf.at("delta_page_size").num, 256);
     EXPECT_EQ(conf.at("granularity").num, 1);
@@ -563,8 +563,10 @@ TEST(CampaignExport, SerialAndParallelExportIdentically)
     EXPECT_EQ(serial_report.str(), par_report.str());
 
     // Identical check accounting and FSM counters.
-    EXPECT_EQ(serial.stats.checksPerformed, par.stats.checksPerformed);
-    EXPECT_EQ(serial.stats.checksSkipped, par.stats.checksSkipped);
+    EXPECT_EQ(serial.statistics().checksPerformed,
+              par.statistics().checksPerformed);
+    EXPECT_EQ(serial.statistics().checksSkipped,
+              par.statistics().checksSkipped);
     for (const char *key :
          {"shadow_fsm.edge.Unmodified_to_Modified",
           "shadow_fsm.edge.Modified_to_WritebackPending",
@@ -581,7 +583,7 @@ TEST(CampaignExport, ParallelWorkersGetDistinctTimelineTracks)
 {
     core::CampaignObserver obs;
     auto res = runObserved("btree", 4, obs);
-    ASSERT_EQ(res.stats.threads, 4u);
+    ASSERT_EQ(res.statistics().threads, 4u);
 
     std::ostringstream os;
     obs.timeline.writeChromeTrace(os);
@@ -603,21 +605,26 @@ TEST(CampaignExport, ParallelWorkersGetDistinctTimelineTracks)
 
 TEST(CampaignExport, ProgressCallbackCoversEveryFailurePoint)
 {
+    struct Ticks : core::CampaignHooks
+    {
+        std::size_t calls = 0;
+        std::size_t lastDone = 0, lastTotal = 0;
+        void
+        onProgress(const core::ProgressUpdate &u) override
+        {
+            calls++;
+            lastDone = std::max(lastDone, u.done);
+            lastTotal = u.total;
+        }
+    } ticks;
     core::CampaignObserver obs;
-    std::size_t calls = 0;
-    std::size_t last_done = 0, last_total = 0;
-    obs.onProgress = [&](std::size_t done, std::size_t total,
-                         std::size_t) {
-        calls++;
-        last_done = std::max(last_done, done);
-        last_total = total;
-    };
+    obs.hooks = &ticks;
     auto res = runObserved("btree", 2, obs);
     // One tick per executed failure point, plus the zero anchor tick
     // the driver fires before the loop starts.
-    EXPECT_EQ(calls, res.stats.failurePoints + 1);
-    EXPECT_EQ(last_done, res.stats.failurePoints);
-    EXPECT_EQ(last_total, res.stats.failurePoints);
+    EXPECT_EQ(ticks.calls, res.statistics().failurePoints + 1);
+    EXPECT_EQ(ticks.lastDone, res.statistics().failurePoints);
+    EXPECT_EQ(ticks.lastTotal, res.statistics().failurePoints);
 }
 
 TEST(CampaignExport, NoStatsWhenCollectionDisabled)
@@ -634,7 +641,7 @@ TEST(CampaignExport, NoStatsWhenCollectionDisabled)
     driver.setObserver(&obs);
     auto res = driver.run([&](trace::PmRuntime &rt) { w->pre(rt); },
                           [&](trace::PmRuntime &rt) { w->post(rt); });
-    EXPECT_GT(res.stats.postExecutions, 0u);
+    EXPECT_GT(res.statistics().postExecutions, 0u);
     EXPECT_TRUE(obs.stats.empty());
 
     // The stats document still works without a registry.

@@ -315,18 +315,18 @@ runRaceCampaign(core::DetectorConfig cfg = {},
 TEST(Provenance, RoundTripsThroughReportJsonAndExplain)
 {
     auto res = runRaceCampaign();
-    ASSERT_FALSE(res.bugs.empty()) << res.summary();
+    ASSERT_FALSE(res.findings().empty()) << res.summary();
 
     // Locate a finding that carries a causal chain.
-    std::size_t idx = res.bugs.size();
-    for (std::size_t i = 0; i < res.bugs.size(); i++) {
-        if (!res.bugs[i].frontierSeqs.empty()) {
+    std::size_t idx = res.findings().size();
+    for (std::size_t i = 0; i < res.findings().size(); i++) {
+        if (!res.findings()[i].frontierSeqs.empty()) {
             idx = i;
             break;
         }
     }
-    ASSERT_LT(idx, res.bugs.size()) << res.summary();
-    const core::BugReport &bug = res.bugs[idx];
+    ASSERT_LT(idx, res.findings().size()) << res.summary();
+    const core::BugReport &bug = res.findings()[idx];
 
     // Report JSON carries the same chain under "provenance".
     std::ostringstream os;
@@ -376,10 +376,10 @@ TEST(Provenance, RoundTripsThroughReportJsonAndExplain)
 TEST(Provenance, CrashImageModeRecordsAnEmptyPersistedMask)
 {
     core::DetectorConfig cfg;
-    cfg.crashImageMode = true;
+    cfg.crashStates = "durable";
     auto res = runRaceCampaign(cfg);
     bool saw = false;
-    for (const auto &b : res.bugs) {
+    for (const auto &b : res.findings()) {
         if (b.frontierSeqs.empty())
             continue;
         saw = true;
@@ -406,23 +406,23 @@ TEST(PhaseProfiler, SerialTotalsAttributeAllBackendSeconds)
 {
     core::CampaignObserver obs;
     auto res = runPhased(1, obs);
-    const obs::PhaseTotals &ph = res.stats.phases;
+    const obs::PhaseTotals &ph = res.statistics().phases;
 
     auto n = [&](obs::Phase p) {
         return ph.count[static_cast<std::size_t>(p)];
     };
     EXPECT_EQ(n(obs::Phase::TraceCapture), 1u);
     EXPECT_GE(n(obs::Phase::Plan), 1u);
-    EXPECT_EQ(n(obs::Phase::Restore), res.stats.failurePoints);
-    EXPECT_EQ(n(obs::Phase::RecoveryExec), res.stats.postExecutions);
-    EXPECT_GE(n(obs::Phase::Classify), res.stats.failurePoints);
+    EXPECT_EQ(n(obs::Phase::Restore), res.statistics().failurePoints);
+    EXPECT_EQ(n(obs::Phase::RecoveryExec), res.statistics().postExecutions);
+    EXPECT_GE(n(obs::Phase::Classify), res.statistics().failurePoints);
     EXPECT_EQ(n(obs::Phase::Oracle), 0u);
 
     // Restore + classify wrap exactly the intervals the driver adds
     // to backendSeconds, so a serial campaign attributes 100% of it
     // (up to summation order).
-    EXPECT_NEAR(ph.backendAttributed(), res.stats.backendSeconds,
-                1e-9 + 1e-9 * res.stats.backendSeconds);
+    EXPECT_NEAR(ph.backendAttributed(), res.statistics().backendSeconds,
+                1e-9 + 1e-9 * res.statistics().backendSeconds);
     EXPECT_GE(ph.total(), ph.backendAttributed());
 }
 
@@ -431,14 +431,14 @@ TEST(PhaseProfiler, ScopedTimerCountsAreThreadCountInvariant)
     core::CampaignObserver serial_obs, par_obs;
     auto serial = runPhased(1, serial_obs);
     auto par = runPhased(4, par_obs);
-    EXPECT_EQ(serial.stats.phases.count, par.stats.phases.count);
+    EXPECT_EQ(serial.statistics().phases.count, par.statistics().phases.count);
 }
 
 TEST(PhaseProfiler, ExportedStatsAndJsonMirrorTheTotals)
 {
     core::CampaignObserver obs;
     auto res = runPhased(1, obs);
-    const obs::PhaseTotals &ph = res.stats.phases;
+    const obs::PhaseTotals &ph = res.statistics().phases;
 
     if (obs::statsCompiledIn) {
         const obs::StatsRegistry &reg = obs.stats;
@@ -464,7 +464,7 @@ TEST(PhaseProfiler, ExportedStatsAndJsonMirrorTheTotals)
     const Json &phases = camp.at("phases");
     EXPECT_NE(phases.find("trace_capture"), nullptr);
     EXPECT_EQ(phases.at("restore").at("count").num,
-              static_cast<double>(res.stats.failurePoints));
+              static_cast<double>(res.statistics().failurePoints));
     EXPECT_EQ(phases.find("oracle"), nullptr);
     EXPECT_NEAR(camp.at("backend_attribution").num, 1.0, 1e-6);
 

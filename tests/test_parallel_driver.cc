@@ -46,21 +46,26 @@ TEST_P(ParallelEquivalence, CleanWorkloadSameFindings)
     auto serial = runWorkload(GetParam(), cfg, 1);
     auto par = runWorkload(GetParam(), cfg, 4);
     EXPECT_EQ(fingerprint(serial), fingerprint(par));
-    EXPECT_EQ(serial.stats.failurePoints, par.stats.failurePoints);
-    EXPECT_EQ(serial.stats.postExecutions, par.stats.postExecutions);
-    EXPECT_EQ(par.stats.threads, 4u);
+    EXPECT_EQ(serial.statistics().failurePoints,
+              par.statistics().failurePoints);
+    EXPECT_EQ(serial.statistics().postExecutions,
+              par.statistics().postExecutions);
+    EXPECT_EQ(par.statistics().threads, 4u);
 
     // Accounting must merge exactly across workers: each worker's
     // shadow counts its own chunk's checks, and elision happens once
     // in the shared plan.
-    EXPECT_EQ(serial.stats.checksPerformed, par.stats.checksPerformed);
-    EXPECT_EQ(serial.stats.checksSkipped, par.stats.checksSkipped);
-    EXPECT_EQ(serial.stats.elidedPoints, par.stats.elidedPoints);
-    EXPECT_EQ(serial.stats.orderingCandidates,
-              par.stats.orderingCandidates);
-    EXPECT_EQ(serial.stats.preTraceEntries, par.stats.preTraceEntries);
-    EXPECT_EQ(serial.stats.postTraceEntries,
-              par.stats.postTraceEntries);
+    EXPECT_EQ(serial.statistics().checksPerformed,
+              par.statistics().checksPerformed);
+    EXPECT_EQ(serial.statistics().checksSkipped,
+              par.statistics().checksSkipped);
+    EXPECT_EQ(serial.statistics().elidedPoints, par.statistics().elidedPoints);
+    EXPECT_EQ(serial.statistics().orderingCandidates,
+              par.statistics().orderingCandidates);
+    EXPECT_EQ(serial.statistics().preTraceEntries,
+              par.statistics().preTraceEntries);
+    EXPECT_EQ(serial.statistics().postTraceEntries,
+              par.statistics().postTraceEntries);
 }
 
 INSTANTIATE_TEST_SUITE_P(Micro, ParallelEquivalence,
@@ -114,7 +119,7 @@ TEST(ParallelDriver, MoreThreadsThanPointsIsFine)
     cfg.initOps = 0;
     cfg.testOps = 1;
     auto res = runWorkload("btree", cfg, 64);
-    EXPECT_EQ(res.stats.postExecutions, res.stats.failurePoints);
+    EXPECT_EQ(res.statistics().postExecutions, res.statistics().failurePoints);
 }
 
 TEST(ParallelDriver, ZeroThreadsMeansSerial)
@@ -128,8 +133,8 @@ TEST(ParallelDriver, ZeroThreadsMeansSerial)
     auto res = xfdtest::runCampaign(
         [&](PmRuntime &rt) { w->pre(rt); },
         [&](PmRuntime &rt) { w->post(rt); }, opt);
-    EXPECT_EQ(res.stats.threads, 1u);
-    EXPECT_GT(res.stats.postExecutions, 0u);
+    EXPECT_EQ(res.statistics().threads, 1u);
+    EXPECT_GT(res.statistics().postExecutions, 0u);
 }
 
 TEST(ParallelDriver, PoolHoldsFinalStateAfterParallelRun)

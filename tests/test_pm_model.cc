@@ -201,7 +201,7 @@ TEST(PmModelEadr, FlushOrderingBugsVanish)
         bugsuite::BugCase c = caseById(id);
         auto res = bugsuite::runBugCase(c, modelConfig("eadr"));
         EXPECT_TRUE(xfdtest::hasNoFindings(res)) << res.summary();
-        EXPECT_GT(res.stats.failurePoints, 0u);
+        EXPECT_GT(res.statistics().failurePoints, 0u);
     }
 }
 
@@ -265,7 +265,7 @@ TEST(PmModelEadr, CampaignIsDeterministicAcrossRuns)
     auto a = xfdtest::runWorkload("wal_btree", wcfg, opt);
     auto b = xfdtest::runWorkload("wal_btree", wcfg, opt);
     EXPECT_EQ(xfdtest::fingerprint(a), xfdtest::fingerprint(b));
-    EXPECT_EQ(a.stats.failurePoints, b.stats.failurePoints);
+    EXPECT_EQ(a.statistics().failurePoints, b.statistics().failurePoints);
 }
 
 TEST(PmModelEadr, PlansNoMoreFailurePointsThanClwb)
@@ -280,8 +280,9 @@ TEST(PmModelEadr, PlansNoMoreFailurePointsThanClwb)
     eadr.detector = modelConfig("eadr");
     auto resClwb = xfdtest::runWorkload("btree", wcfg, clwb);
     auto resEadr = xfdtest::runWorkload("btree", wcfg, eadr);
-    EXPECT_GT(resEadr.stats.failurePoints, 0u);
-    EXPECT_LE(resEadr.stats.failurePoints, resClwb.stats.failurePoints);
+    EXPECT_GT(resEadr.statistics().failurePoints, 0u);
+    EXPECT_LE(resEadr.statistics().failurePoints,
+              resClwb.statistics().failurePoints);
 }
 
 } // namespace

@@ -174,7 +174,7 @@ TEST(AllocDetector, ReadingImplicitlyZeroedCounterIsRace)
     EXPECT_GE(res.count(core::BugType::CrossFailureRace), 1u)
         << res.summary();
     bool uninit_note = false;
-    for (const auto &b : res.bugs) {
+    for (const auto &b : res.findings()) {
         if (b.note.find("never initialized") != std::string::npos)
             uninit_note = true;
     }

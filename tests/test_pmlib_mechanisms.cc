@@ -158,7 +158,7 @@ TEST(RedoDetector, CorrectRedoProtocolIsClean)
         });
     EXPECT_EQ(res.count(BugType::CrossFailureRace), 0u)
         << res.summary();
-    EXPECT_GT(res.stats.failurePoints, 0u);
+    EXPECT_GT(res.statistics().failurePoints, 0u);
 }
 
 TEST(RedoDetector, InPlaceWriteBesideRedoLogRaces)

@@ -119,7 +119,7 @@ TEST(PoolCreateBug, AsShippedRecoveryCannotOpenHalfCreatedPool)
     auto res = runCreateCampaign(false);
     EXPECT_GE(res.count(BugType::RecoveryFailure), 1u) << res.summary();
     bool mentions_metadata = false;
-    for (const auto &b : res.bugs) {
+    for (const auto &b : res.findings()) {
         if (b.note.find("incomplete pool metadata") != std::string::npos)
             mentions_metadata = true;
     }
@@ -139,13 +139,13 @@ TEST(PoolCreateBug, LastFailurePointHasCompleteMetadata)
     // incomplete metadata. So the as-shipped campaign must show both
     // failing and succeeding post-failure executions.
     auto res = runCreateCampaign(false);
-    ASSERT_GE(res.stats.failurePoints, 2u);
+    ASSERT_GE(res.statistics().failurePoints, 2u);
     std::size_t failures = 0;
-    for (const auto &b : res.bugs) {
+    for (const auto &b : res.findings()) {
         if (b.type == BugType::RecoveryFailure)
             failures += b.occurrences;
     }
-    EXPECT_LT(failures, res.stats.failurePoints);
+    EXPECT_LT(failures, res.statistics().failurePoints);
     EXPECT_GT(failures, 0u);
 }
 

@@ -675,7 +675,7 @@ TEST(WalDetect, CorrectProtocolIsFindingFree)
 {
     auto res = walMechCampaign({});
     EXPECT_TRUE(xfdtest::hasNoFindings(res));
-    EXPECT_GT(res.stats.failurePoints, 0u);
+    EXPECT_GT(res.statistics().failurePoints, 0u);
 }
 
 TEST(WalDetect, EagerSealRacesWithItsPayload)
@@ -739,7 +739,7 @@ TEST(WalBugsuite, CleanTwinsAreFindingFree)
         wcfg.roiFromStart = fromStart;
         auto res = xfdtest::runWorkload("wal_btree", wcfg);
         EXPECT_TRUE(xfdtest::hasNoFindings(res));
-        EXPECT_GT(res.stats.failurePoints, 0u);
+        EXPECT_GT(res.statistics().failurePoints, 0u);
     }
 }
 

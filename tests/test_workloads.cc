@@ -92,7 +92,7 @@ TEST_P(WorkloadParamTest, NoFalsePositives)
     cfg.postOps = 4;
     auto res = xfdtest::runWorkload(GetParam(), cfg);
     EXPECT_TRUE(xfdtest::hasNoFindings(res));
-    EXPECT_GT(res.stats.failurePoints, 0u);
+    EXPECT_GT(res.statistics().failurePoints, 0u);
 }
 
 TEST_P(WorkloadParamTest, NoFalsePositivesWithRoiFromStart)

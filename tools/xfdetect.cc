@@ -230,16 +230,12 @@ main(int argc, char **argv)
             const char *value = attached;
             if (!value && d->takesValue())
                 value = need_value(i);
-            core::applyDetectorFlag(*d, dcfg, value);
+            std::string err = core::applyDetectorFlag(*d, dcfg, value);
+            if (!err.empty()) {
+                std::fprintf(stderr, "%s\n", err.c_str());
+                return 2;
+            }
         }
-    }
-
-    if (dcfg.crashStatesOn() && dcfg.crashImageMode) {
-        std::fprintf(stderr,
-                     "--crash-states already explores realistic "
-                     "partial images; it cannot be combined with "
-                     "--crash-image\n");
-        return 2;
     }
 
     if (!dcfg.fixTargets.empty() && !dcfg.mutateOps.empty()) {
@@ -654,7 +650,7 @@ main(int argc, char **argv)
         if (fix_on) {
             // Patch sites for the explained finding(s).
             if (explain_selector == "all") {
-                for (std::size_t i = 0; i < res.bugs.size(); i++) {
+                for (std::size_t i = 0; i < res.findings().size(); i++) {
                     std::printf("%s",
                                 frep.renderFixFor(
                                         "F" + std::to_string(i + 1))
