@@ -106,15 +106,16 @@ printTables()
     std::printf("\n=== Figure 12a addendum: phase attribution "
                 "(ms per campaign) ===\n");
     rule();
-    std::printf("%-16s %9s %7s %9s %9s %9s %7s\n", "workload",
-                "capture", "plan", "restore", "recexec", "classify",
-                "attrib");
+    std::printf("%-16s %9s %7s %7s %9s %9s %9s %7s\n", "workload",
+                "capture", "plan", "index", "restore", "recexec",
+                "classify", "attrib");
     rule();
     for (const auto &row : rows) {
-        std::printf("%-16s %9.3f %7.3f %9.3f %9.3f %9.3f %6.1f%%\n",
+        std::printf("%-16s %9.3f %7.3f %7.3f %9.3f %9.3f %9.3f %6.1f%%\n",
                     row.name.c_str(),
                     row.t.phaseSeconds(obs::Phase::TraceCapture) * 1e3,
                     row.t.phaseSeconds(obs::Phase::Plan) * 1e3,
+                    row.t.phaseSeconds(obs::Phase::IndexWriteLog) * 1e3,
                     row.t.phaseSeconds(obs::Phase::Restore) * 1e3,
                     row.t.phaseSeconds(obs::Phase::RecoveryExec) * 1e3,
                     row.t.phaseSeconds(obs::Phase::Classify) * 1e3,

@@ -1,6 +1,7 @@
 #include "core/campaign_json.hh"
 
 #include "common/logging.hh"
+#include "core/campaign_metrics.hh"
 #include "core/config_flags.hh"
 #include "obs/json.hh"
 #include "obs/phase_profiler.hh"
@@ -75,57 +76,21 @@ writeStatsJson(const CampaignResult &res, const DetectorConfig *cfg,
         writeConfigJson(*cfg, w);
     }
 
-    // The same numbers summary() prints, machine-readable.
     w.key("campaign").beginObject();
-    w.field("failure_points", static_cast<std::uint64_t>(s.failurePoints));
-    w.field("ordering_candidates",
-            static_cast<std::uint64_t>(s.orderingCandidates));
-    w.field("elided_points", static_cast<std::uint64_t>(s.elidedPoints));
-    w.field("lint_pruned_points",
-            static_cast<std::uint64_t>(s.lintPrunedPoints));
-    w.field("post_executions",
-            static_cast<std::uint64_t>(s.postExecutions));
-    w.field("pre_trace_entries",
-            static_cast<std::uint64_t>(s.preTraceEntries));
-    w.field("post_trace_entries",
-            static_cast<std::uint64_t>(s.postTraceEntries));
-    w.field("checks_performed",
-            static_cast<std::uint64_t>(s.checksPerformed));
-    w.field("checks_skipped",
-            static_cast<std::uint64_t>(s.checksSkipped));
-    w.field("threads", s.threads);
-    w.field("pre_seconds", s.preSeconds);
-    w.field("post_seconds", s.postSeconds);
-    w.field("backend_seconds", s.backendSeconds);
-    w.field("total_seconds", s.totalSeconds());
-    if (s.crashStatesEnumerated || s.crashStatesExplored ||
-        s.crashStatesPruned) {
-        w.key("crash_states").beginObject();
-        w.field("enumerated",
-                static_cast<std::uint64_t>(s.crashStatesEnumerated));
-        w.field("explored",
-                static_cast<std::uint64_t>(s.crashStatesExplored));
-        w.field("pruned",
-                static_cast<std::uint64_t>(s.crashStatesPruned));
-        w.field("partial_findings",
-                static_cast<std::uint64_t>(res.partialImageFindings()));
-        w.endObject();
-    }
+    writeMetricFields(campaignMetrics(), "", s, w);
+    w.key("crash_states").beginObject();
+    writeMetricFields(campaignMetrics(), "crash_states", s, w);
+    w.field("partial_findings",
+            static_cast<std::uint64_t>(res.partialImageFindings()));
+    w.endObject();
     w.key("phases");
     obs::writePhaseJson(s.phases, w);
     w.field("backend_attribution",
             s.phases.attributionOf(s.backendSeconds));
     w.endObject();
 
-    // Exec-pool restore volume (delta-image engine accounting).
     w.key("restore").beginObject();
-    w.field("pool_bytes", static_cast<std::uint64_t>(s.poolBytes));
-    w.field("full_copies", s.restore.fullCopies);
-    w.field("delta_restores", s.restore.deltaRestores);
-    w.field("pages_restored", s.restore.pagesRestored);
-    w.field("bytes_restored", s.restore.bytesRestored);
-    w.field("bytes_full_copy", s.restore.bytesFullCopy);
-    w.field("bytes_copied", s.restore.bytesCopied());
+    writeMetricFields(campaignMetrics(), "restore", s, w);
     w.endObject();
 
     w.key("bugs").beginObject();

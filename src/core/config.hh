@@ -230,7 +230,7 @@ struct DetectorConfig
      *
      * Findings only reachable on a partial image carry partial-image
      * provenance (persistedMask with cleared bits) and surface as
-     * campaign.crashstates.* stats. Structurally identical candidates
+     * campaign.crash_states.* stats. Structurally identical candidates
      * across failure points (same ordering-point location, same lint
      * frontier signature, same mask) execute once. The durable tier
      * runs one candidate per failure point and neither prunes nor

@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "common/logging.hh"
+#include "core/campaign_metrics.hh"
 #include "lint/frontier.hh"
 #include "trace/buffer.hh"
 #include "trace/candidates.hh"
@@ -161,7 +162,7 @@ CampaignResult::partialImageFindings() const
         if (b.persistedMask.size() && !b.persistedMask.all())
             n++;
     }
-    return n;
+    return runConfig.crashStatesOn() ? n : 0;
 }
 
 std::string
@@ -1103,7 +1104,6 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
         live->gauge("failure_points_planned", total_units);
 
     // Index the write log by page once; workers share it read-only.
-    // Its cost bills to planning: both prepare the per-point loop.
     // base_sync_pages bounds where any working image can differ from
     // a zeroed pool (every logged write's page + the initial
     // snapshot's nonzero pages); chunk starts and checkpoint resyncs
@@ -1122,7 +1122,7 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
         initial.collectNonZeroPages(cfg.deltaPageSize,
                                     base_sync_pages);
         chunkSyncPages = &base_sync_pages;
-        totals.phases.note(obs::Phase::Plan, secondsSince(t0));
+        totals.phases.note(obs::Phase::IndexWriteLog, secondsSince(t0));
     }
 
     std::uint32_t trace_end =
@@ -1241,6 +1241,8 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
             }
         }
         cursors[t].shadow.endPostReplay();
+        stats[t].checksPerformed = cursors[t].shadow.checksPerformed();
+        stats[t].checksSkipped = cursors[t].shadow.checksSkipped();
         exec_pool->disableDirtyTracking();
         if (threads > 1)
             setThreadLogLabel("");
@@ -1271,29 +1273,8 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
     BugSink merged;
     for (auto &s : item_sinks)
         merged.merge(s);
-    for (unsigned t = 0; t < threads; t++) {
-        totals.postExecutions += stats[t].postExecutions;
-        totals.postTraceEntries += stats[t].postTraceEntries;
-        totals.crashStatesEnumerated +=
-            stats[t].crashStatesEnumerated;
-        totals.crashStatesExplored +=
-            stats[t].crashStatesExplored;
-        totals.crashStatesPruned += stats[t].crashStatesPruned;
-        for (auto &p : stats[t].crashPruned)
-            totals.crashPruned.push_back(std::move(p));
-        if (threads == 1) {
-            totals.postSeconds += stats[t].postSeconds;
-            totals.backendSeconds += stats[t].backendSeconds;
-        }
-        totals.checksPerformed +=
-            cursors[t].shadow.checksPerformed();
-        totals.checksSkipped +=
-            cursors[t].shadow.checksSkipped();
-        totals.restore.merge(stats[t].restore);
-        // Phase counts are serial/parallel-invariant; with workers the
-        // summed seconds are CPU time, like the per-worker stats above.
-        totals.phases.merge(stats[t].phases);
-    }
+    for (unsigned t = 0; t < threads; t++)
+        mergeWorkerStats(totals, stats[t], threads == 1);
     deltaStore = nullptr;
     chunkSyncPages = nullptr;
     csCtx = nullptr;
@@ -1349,165 +1330,15 @@ Driver::fillObserverStats(
     const ShadowFsmCounters &fsm,
     const std::vector<double> &post_latency)
 {
-    using obs::Scalar;
-
     obs::StatsRegistry &reg = observer->stats;
-    const CampaignStats &s = res.statistics();
-
     auto set = [&](const std::string &name, const std::string &desc,
                    double v) {
         reg.scalar(name, desc).set(v);
     };
 
-    set("campaign.failure_points",
-        "failure points planned (after elision)",
-        static_cast<double>(s.failurePoints));
-    set("campaign.ordering_candidates",
-        "ordering points considered for failure injection",
-        static_cast<double>(s.orderingCandidates));
-    set("campaign.elided_points",
-        "failure points skipped by trace elision",
-        static_cast<double>(s.elidedPoints));
-    set("campaign.lint.pruned_points",
-        "failure points folded into batch representatives",
-        static_cast<double>(s.lintPrunedPoints));
-    set("campaign.batch.groups",
-        "signature groups scheduled (--backend=batched)",
-        static_cast<double>(s.batchGroups));
-    set("campaign.batch.folded_points",
-        "failure points covered by a group representative's run",
-        static_cast<double>(s.lintPrunedPoints));
-    set("campaign.trace.same_value_elided",
-        "same-value stores elided at emit time (--elide-same-value)",
-        static_cast<double>(s.sameValueElided));
-    set("campaign.post_executions",
-        "post-failure stage executions",
-        static_cast<double>(s.postExecutions));
-    set("campaign.crashstates.enumerated",
-        "partial crash-state candidates enumerated (--crash-states)",
-        static_cast<double>(s.crashStatesEnumerated));
-    set("campaign.crashstates.explored",
-        "partial crash-state candidates executed",
-        static_cast<double>(s.crashStatesExplored));
-    set("campaign.crashstates.pruned",
-        "candidates skipped by equivalence-class pruning",
-        static_cast<double>(s.crashStatesPruned));
-    set("campaign.crashstates.partial_findings",
-        "findings first exposed on a partial crash image",
-        static_cast<double>(cfg.crashStatesOn()
-                                ? res.partialImageFindings()
-                                : 0));
-    {
-        Scalar &cs_en =
-            reg.scalar("campaign.crashstates.enumerated", "");
-        Scalar &cs_pr = reg.scalar("campaign.crashstates.pruned", "");
-        reg.formula("campaign.crashstates.prune_ratio",
-                    "fraction of enumerated candidates pruned as "
-                    "equivalent",
-                    [&cs_en, &cs_pr] {
-                        return cs_en.value()
-                                   ? cs_pr.value() / cs_en.value()
-                                   : 0.0;
-                    });
-    }
-    set("campaign.pre_trace_entries", "pre-failure trace entries",
-        static_cast<double>(s.preTraceEntries));
-    set("campaign.post_trace_entries",
-        "post-failure trace entries (all executions)",
-        static_cast<double>(s.postTraceEntries));
-    set("campaign.checks_performed",
-        "post-failure read checks performed",
-        static_cast<double>(s.checksPerformed));
-    set("campaign.checks_skipped",
-        "post-failure read checks skipped (first-read opt)",
-        static_cast<double>(s.checksSkipped));
-    set("campaign.threads", "worker threads used",
-        static_cast<double>(s.threads));
+    exportCampaignStats(res, reg);
     set("campaign.bugs", "distinct findings",
         static_cast<double>(res.findings().size()));
-    set("campaign.pre_seconds", "pre-failure stage wall seconds",
-        s.preSeconds);
-    set("campaign.post_seconds", "post-failure stage wall seconds",
-        s.postSeconds);
-    set("campaign.backend_seconds",
-        "image reconstruction + replay wall seconds",
-        s.backendSeconds);
-
-    Scalar &pre_s = reg.scalar("campaign.pre_seconds", "");
-    Scalar &post_s = reg.scalar("campaign.post_seconds", "");
-    Scalar &back_s = reg.scalar("campaign.backend_seconds", "");
-    reg.formula("campaign.total_seconds",
-                "pre + post + backend wall seconds",
-                [&pre_s, &post_s, &back_s] {
-                    return pre_s.value() + post_s.value() +
-                           back_s.value();
-                });
-    Scalar &cand = reg.scalar("campaign.ordering_candidates", "");
-    Scalar &elided = reg.scalar("campaign.elided_points", "");
-    reg.formula("campaign.elision_ratio",
-                "fraction of candidate points elided",
-                [&cand, &elided] {
-                    return cand.value() ? elided.value() / cand.value()
-                                        : 0.0;
-                });
-    Scalar &fps = reg.scalar("campaign.failure_points", "");
-    Scalar &pruned = reg.scalar("campaign.lint.pruned_points", "");
-    reg.formula("campaign.lint.prune_ratio",
-                "fraction of planned points folded by "
-                "--backend=batched",
-                [&fps, &pruned] {
-                    double planned = fps.value() + pruned.value();
-                    return planned ? pruned.value() / planned : 0.0;
-                });
-
-    // Delta-image engine restore volume. The baseline is what the
-    // full-copy engine would have moved: one pool-sized copy per
-    // restore.
-    set("campaign.pool_bytes", "exec-pool capacity in bytes",
-        static_cast<double>(s.poolBytes));
-    set("campaign.delta.full_copies",
-        "full-image restores (chunk starts, checkpoint cadence)",
-        static_cast<double>(s.restore.fullCopies));
-    set("campaign.delta.delta_restores",
-        "page-granular partial restores",
-        static_cast<double>(s.restore.deltaRestores));
-    set("campaign.delta.pages_restored",
-        "pages copied by partial restores",
-        static_cast<double>(s.restore.pagesRestored));
-    set("campaign.delta.bytes_restored",
-        "bytes copied by partial restores",
-        static_cast<double>(s.restore.bytesRestored));
-    set("campaign.delta.bytes_full_copy",
-        "bytes copied by full-image restores",
-        static_cast<double>(s.restore.bytesFullCopy));
-    set("campaign.delta.sync_restores",
-        "from-scratch resyncs done page-granular instead of O(pool)",
-        static_cast<double>(s.restore.syncRestores));
-    Scalar &pool_b = reg.scalar("campaign.pool_bytes", "");
-    Scalar &full_c = reg.scalar("campaign.delta.full_copies", "");
-    Scalar &delta_r = reg.scalar("campaign.delta.delta_restores", "");
-    Scalar &bytes_r = reg.scalar("campaign.delta.bytes_restored", "");
-    Scalar &bytes_f = reg.scalar("campaign.delta.bytes_full_copy", "");
-    reg.formula("campaign.delta.bytes_elided",
-                "restore bytes saved vs full-copy baseline",
-                [&pool_b, &full_c, &delta_r, &bytes_r, &bytes_f] {
-                    double baseline = (full_c.value() +
-                                       delta_r.value()) *
-                                      pool_b.value();
-                    return baseline -
-                           (bytes_r.value() + bytes_f.value());
-                });
-    reg.formula("campaign.delta.restore_ratio",
-                "restore bytes moved / full-copy baseline",
-                [&pool_b, &full_c, &delta_r, &bytes_r, &bytes_f] {
-                    double baseline = (full_c.value() +
-                                       delta_r.value()) *
-                                      pool_b.value();
-                    return baseline ? (bytes_r.value() +
-                                       bytes_f.value()) /
-                                          baseline
-                                    : 0.0;
-                });
 
     // Shadow-PM persistency-FSM edge traversals (Fig. 6), from the
     // deterministic full-trace replay.
@@ -1555,9 +1386,6 @@ Driver::fillObserverStats(
         "post-failure stage latency per failure point (us)");
     for (double sec : post_latency)
         h.sample(sec * 1e6);
-
-    // Per-phase attribution of the campaign loop.
-    obs::exportPhaseStats(reg, s.phases, s.backendSeconds);
 }
 
 } // namespace xfd::core

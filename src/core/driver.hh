@@ -54,7 +54,10 @@ namespace xfd::core
 /** A traced program stage: receives the tracing runtime. */
 using ProgramFn = std::function<void(trace::PmRuntime &)>;
 
-/** Timing and volume statistics for one campaign. */
+/**
+ * Timing and volume statistics for one campaign; campaignMetrics()
+ * (core/campaign_metrics.hh) names, exports and merges each number.
+ */
 struct CampaignStats
 {
     std::size_t failurePoints = 0;
@@ -177,9 +180,8 @@ class CampaignResult
      * Findings first exposed on a *partial* crash image: their
      * persistedMask provenance has at least one cleared bit, i.e. the
      * anchor (all-updates) image of the same failure point did not
-     * produce them. Meaningful for --crash-states campaigns; under
-     * the durable tier every finding's mask is all-zero by
-     * construction and counts here.
+     * produce them. Zero unless the campaign ran --crash-states (the
+     * durable tier's all-zero masks have no anchor to differ from).
      */
     std::size_t partialImageFindings() const;
 
@@ -398,10 +400,10 @@ class Driver
 
     /**
      * Aggregate campaign counters into the observer's registry:
-     * timing/volume scalars, shadow-FSM edge counts (from the
+     * exportCampaignStats(), shadow-FSM edge counts (from the
      * deterministic full-trace replay, so serial and parallel
      * campaigns register identical values), per-op trace volumes,
-     * elision savings, and the post-execution latency histogram.
+     * and the post-execution latency histogram.
      */
     void fillObserverStats(
         const CampaignResult &res,

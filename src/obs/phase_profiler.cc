@@ -11,6 +11,7 @@ phaseName(Phase p)
     switch (p) {
       case Phase::TraceCapture: return "trace_capture";
       case Phase::Plan: return "plan";
+      case Phase::IndexWriteLog: return "index_write_log";
       case Phase::LintPrune: return "lint_prune";
       case Phase::Restore: return "restore";
       case Phase::RecoveryExec: return "recovery_exec";
@@ -27,7 +28,9 @@ phaseDesc(Phase p)
       case Phase::TraceCapture:
         return "pre-failure stage under tracing";
       case Phase::Plan:
-        return "failure-point planning + write-log indexing";
+        return "failure-point planning";
+      case Phase::IndexWriteLog:
+        return "write-log page indexing + restore-set scan";
       case Phase::LintPrune:
         return "static frontier-signature pruning";
       case Phase::Restore:

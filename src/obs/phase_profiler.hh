@@ -3,13 +3,13 @@
  * Campaign phase attribution.
  *
  * The campaign driver's wall time divides into a handful of phases —
- * trace capture, failure-point planning, lint pruning, exec-pool
- * restore, recovery execution, post-trace classification, and (in
- * differential campaigns) oracle enumeration. PhaseTotals accumulates
- * seconds and scoped-timer counts per phase; the driver threads one
- * through each worker and merges them like the rest of CampaignStats,
- * so BENCH_fig12's dominant backend_ms column finally decomposes into
- * named phases instead of one opaque number.
+ * trace capture, failure-point planning, write-log indexing, lint
+ * pruning, exec-pool restore, recovery execution, post-trace
+ * classification, and (in differential campaigns) oracle enumeration.
+ * PhaseTotals accumulates seconds and scoped-timer counts per phase;
+ * the driver threads one through each worker and merges them like the
+ * rest of CampaignStats, so BENCH_fig12's dominant backend_ms column
+ * finally decomposes into named phases instead of one opaque number.
  *
  * The accounting is CPU-seconds per phase: a serial campaign's phase
  * totals sum to its wall breakdown exactly (restore + classify ==
@@ -42,8 +42,10 @@ enum class Phase : std::uint8_t
 {
     /** Pre-failure stage running under tracing. */
     TraceCapture,
-    /** Failure-point planning + write-log page indexing. */
+    /** Failure-point planning. */
     Plan,
+    /** Write-log page indexing + restore-set scan (delta backends). */
+    IndexWriteLog,
     /** Frontier-signature analysis (batch planning). */
     LintPrune,
     /** Shadow/image advance + exec-pool restore (backend half 1). */
@@ -57,7 +59,7 @@ enum class Phase : std::uint8_t
     Oracle,
 };
 
-inline constexpr std::size_t phaseCount = 7;
+inline constexpr std::size_t phaseCount = 8;
 
 /** Stable identifier of @p p ("trace_capture", ...). */
 const char *phaseName(Phase p);

@@ -81,6 +81,10 @@ writeDisagreementArtifact(const std::string &dir,
     return path;
 }
 
+using D = DiffReport;
+using core::fieldMetric;
+using enum core::Merge;
+
 } // namespace
 
 double
@@ -455,69 +459,52 @@ runDifferentialCampaign(pm::PmPool &pool, const core::ProgramFn &pre,
                                       toracle)
             .count();
     rep.detector.notePhase(obs::Phase::Oracle, rep.oracleSeconds);
+    if (cfg.observer && dcfg.collectStats && obs::statsCompiledIn) {
+        core::exportCampaignStats(rep.detector, cfg.observer->stats);
+        core::exportMetrics(diffMetrics(), rep, cfg.observer->stats);
+    }
     return rep;
 }
 
-void
-exportOracleStats(obs::StatsRegistry &reg, const DiffReport &r)
+const std::vector<core::Metric<DiffReport>> &
+diffMetrics()
 {
-    auto set = [&](const char *name, const char *desc, double v) {
-        reg.scalar(name, desc).set(v);
+    static const std::vector<core::Metric<D>> table = {
+        fieldMetric<&D::failurePoints>("failure_points", "oracle", Once,
+            "failure points compared against the oracle"),
+        fieldMetric<&D::agreements>("agreements", "oracle", Once,
+            "failure points where detector and oracle classes match"),
+        fieldMetric<&D::disagreements>("disagreements", "oracle", Once,
+            "failure points where the class sets differ"),
+        {"agreement_rate", "oracle", "agreeing points / compared points",
+            false, [](const D &r) { return r.agreementRate(); }},
+        fieldMetric<&D::statesEnumerated>("states_enumerated", "oracle", Once,
+            "legal crash states identified"),
+        fieldMetric<&D::subsetsSampled>("subsets_sampled", "oracle", Once,
+            "candidates run at sampled (over-limit) points"),
+        fieldMetric<&D::candidatesRun>("candidates_run", "oracle", Once,
+            "candidate recovery executions"),
+        fieldMetric<&D::prunedRechecked>("pruned_rechecked", "oracle", Once,
+            "lint-pruned points the oracle re-checked"),
+        fieldMetric<&D::extrasExplained>("extras_explained", "oracle", Once,
+            "partial-candidate extra classes with an attribution"),
+        fieldMetric<&D::extrasUnexplained>("extras_unexplained", "oracle", Once,
+            "partial-candidate extra classes without one"),
+        fieldMetric<&D::partialChecked>("partial_checked", "oracle", Once,
+            "detector partial-image finding groups cross-checked"),
+        fieldMetric<&D::partialDisagreements>("partial_disagreements", "oracle",
+            Once, "partial-image groups the oracle could not reproduce"),
+        fieldMetric<&D::crashPrunedRechecked>("crash_pruned_rechecked",
+            "oracle", Once,
+            "equivalence-pruned candidates re-checked by the oracle"),
+        fieldMetric<&D::crashPrunedDisagreements>("crash_pruned_disagreements",
+            "oracle", Once,
+            "pruned candidates whose verdict differed from their "
+            "representative"),
+        fieldMetric<&D::oracleSeconds>("oracle_seconds", "oracle", Once,
+            "oracle enumeration + candidate recovery wall seconds"),
     };
-    set("campaign.oracle.failure_points",
-        "failure points compared against the oracle",
-        static_cast<double>(r.failurePoints));
-    set("campaign.oracle.states_enumerated",
-        "legal crash states identified",
-        static_cast<double>(r.statesEnumerated));
-    set("campaign.oracle.subsets_sampled",
-        "candidates run at sampled (over-limit) points",
-        static_cast<double>(r.subsetsSampled));
-    set("campaign.oracle.candidates_run",
-        "candidate recovery executions",
-        static_cast<double>(r.candidatesRun));
-    set("campaign.oracle.pruned_rechecked",
-        "lint-pruned points the oracle re-checked",
-        static_cast<double>(r.prunedRechecked));
-    set("campaign.oracle.agreements",
-        "failure points where detector and oracle classes match",
-        static_cast<double>(r.agreements));
-    set("campaign.oracle.disagreements",
-        "failure points where the class sets differ",
-        static_cast<double>(r.disagreements));
-    set("campaign.oracle.extras_explained",
-        "partial-candidate extra classes with an attribution",
-        static_cast<double>(r.extrasExplained));
-    set("campaign.oracle.extras_unexplained",
-        "partial-candidate extra classes without one",
-        static_cast<double>(r.extrasUnexplained));
-    set("campaign.oracle.partial_checked",
-        "detector partial-image finding groups cross-checked",
-        static_cast<double>(r.partialChecked));
-    set("campaign.oracle.partial_disagreements",
-        "partial-image groups the oracle could not reproduce",
-        static_cast<double>(r.partialDisagreements));
-    set("campaign.oracle.crash_pruned_rechecked",
-        "equivalence-pruned candidates re-checked by the oracle",
-        static_cast<double>(r.crashPrunedRechecked));
-    set("campaign.oracle.crash_pruned_disagreements",
-        "pruned candidates whose verdict differed from their "
-        "representative",
-        static_cast<double>(r.crashPrunedDisagreements));
-    set("campaign.phase.oracle_seconds",
-        "oracle enumeration + candidate recovery wall seconds",
-        r.oracleSeconds);
-
-    obs::Scalar &points =
-        reg.scalar("campaign.oracle.failure_points", "");
-    obs::Scalar &agree = reg.scalar("campaign.oracle.agreements", "");
-    reg.formula("campaign.oracle.agreement_rate",
-                "agreeing points / compared points",
-                [&points, &agree] {
-                    return points.value()
-                               ? agree.value() / points.value()
-                               : 1.0;
-                });
+    return table;
 }
 
 core::JsonSection
@@ -526,37 +513,7 @@ oracleJsonSection(const DiffReport &r)
     return core::JsonSection{
         "oracle", [&r](obs::JsonWriter &w) {
             w.beginObject();
-            w.field("failure_points",
-                    static_cast<std::uint64_t>(r.failurePoints));
-            w.field("agreements",
-                    static_cast<std::uint64_t>(r.agreements));
-            w.field("disagreements",
-                    static_cast<std::uint64_t>(r.disagreements));
-            w.field("agreement_rate", r.agreementRate());
-            w.field("states_enumerated",
-                    static_cast<std::uint64_t>(r.statesEnumerated));
-            w.field("subsets_sampled",
-                    static_cast<std::uint64_t>(r.subsetsSampled));
-            w.field("candidates_run",
-                    static_cast<std::uint64_t>(r.candidatesRun));
-            w.field("pruned_rechecked",
-                    static_cast<std::uint64_t>(r.prunedRechecked));
-            w.field("extras_explained",
-                    static_cast<std::uint64_t>(r.extrasExplained));
-            w.field("extras_unexplained",
-                    static_cast<std::uint64_t>(r.extrasUnexplained));
-            w.field("partial_checked",
-                    static_cast<std::uint64_t>(r.partialChecked));
-            w.field("partial_disagreements",
-                    static_cast<std::uint64_t>(
-                        r.partialDisagreements));
-            w.field("crash_pruned_rechecked",
-                    static_cast<std::uint64_t>(
-                        r.crashPrunedRechecked));
-            w.field("crash_pruned_disagreements",
-                    static_cast<std::uint64_t>(
-                        r.crashPrunedDisagreements));
-            w.field("oracle_seconds", r.oracleSeconds);
+            core::writeMetricFields(diffMetrics(), "oracle", r, w);
             w.key("disagreement_fps").beginArray();
             for (const auto &a : r.perFp) {
                 if (!a.agree)

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "core/campaign_json.hh"
+#include "core/campaign_metrics.hh"
 #include "core/driver.hh"
 #include "core/observer.hh"
 #include "oracle/oracle.hh"
@@ -78,7 +79,8 @@ struct DiffConfig
     std::string artifactDir;
 
     /**
-     * Optional external observer: campaign stats/spans/progress land
+     * Optional external observer: campaign stats (with the oracle
+     * phase and the diffMetrics() rows), spans and progress land
      * there, and any hooks already installed keep firing. The harness
      * restores the hook slots before returning.
      */
@@ -202,8 +204,8 @@ DiffReport runDifferentialCampaign(pm::PmPool &pool,
                                    const core::ProgramFn &post,
                                    const DiffConfig &cfg);
 
-/** Register campaign.oracle.* scalars/formulas for @p r. */
-void exportOracleStats(obs::StatsRegistry &reg, const DiffReport &r);
+/** The DiffReport rows, in stats-JSON order. */
+const std::vector<core::Metric<DiffReport>> &diffMetrics();
 
 /**
  * Stats-JSON section ("oracle") for @p r. The report must outlive the

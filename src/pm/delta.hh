@@ -59,17 +59,6 @@ struct DeltaRestoreStats
     {
         return bytesRestored + bytesFullCopy;
     }
-
-    void
-    merge(const DeltaRestoreStats &o)
-    {
-        fullCopies += o.fullCopies;
-        deltaRestores += o.deltaRestores;
-        syncRestores += o.syncRestores;
-        pagesRestored += o.pagesRestored;
-        bytesRestored += o.bytesRestored;
-        bytesFullCopy += o.bytesFullCopy;
-    }
 };
 
 /**

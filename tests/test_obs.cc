@@ -18,12 +18,14 @@
 
 #include "common/logging.hh"
 #include "core/campaign_json.hh"
+#include "core/campaign_metrics.hh"
 #include "core/config_flags.hh"
 #include "core/driver.hh"
 #include "core/observer.hh"
 #include "harness.hh"
 #include "mutate/campaign.hh"
 #include "obs/json.hh"
+#include "obs/phase_profiler.hh"
 #include "obs/progress.hh"
 #include "obs/stats.hh"
 #include "obs/timeline.hh"
@@ -262,16 +264,75 @@ TEST(Progress, MeterRateLimitsAndAlwaysPrintsFinal)
 
 core::CampaignResult
 runObserved(const std::string &workload, unsigned threads,
-            core::CampaignObserver &obs)
+            core::CampaignObserver &obs,
+            const core::DetectorConfig &dcfg = {},
+            const char *bug = nullptr)
 {
     workloads::WorkloadConfig cfg;
     cfg.initOps = 5;
     cfg.testOps = 5;
     cfg.postOps = 2;
+    if (bug)
+        cfg.bugs.enable(bug);
     xfdtest::RunOptions opt;
+    opt.detector = dcfg;
     opt.threads = threads;
     opt.observer = &obs;
     return xfdtest::runWorkload(workload, cfg, opt);
+}
+
+/** The JSON object a metric section is written into. */
+const Json &
+sectionJson(const Json &doc, const std::string &section)
+{
+    if (section.empty())
+        return doc.at("campaign");
+    if (section == "crash_states")
+        return doc.at("campaign").at("crash_states");
+    return doc.at(section);
+}
+
+/**
+ * Every campaignMetrics() row, partial_findings and every phase must
+ * read the same from the result, the stats JSON and the registry.
+ */
+void
+expectViewsAgree(const core::CampaignResult &res,
+                 const obs::StatsRegistry &reg)
+{
+    std::ostringstream os;
+    core::writeStatsJson(res, &reg, os);
+    Json doc = parseJson(os.str());
+    const core::CampaignStats &st = res.statistics();
+    for (const auto &m : core::campaignMetrics()) {
+        SCOPED_TRACE(m.registryName());
+        double v = m.get(st);
+        EXPECT_NE(reg.find(m.registryName()), nullptr);
+        EXPECT_EQ(reg.value(m.registryName()), v);
+        EXPECT_EQ(sectionJson(doc, m.section).at(m.key).num, v);
+    }
+    double partial = static_cast<double>(res.partialImageFindings());
+    EXPECT_EQ(reg.value("campaign.crash_states.partial_findings"), partial);
+    EXPECT_EQ(sectionJson(doc, "crash_states").at("partial_findings").num,
+              partial);
+    const Json &phases = doc.at("campaign").at("phases");
+    for (std::size_t i = 0; i < obs::phaseCount; i++) {
+        std::string name = obs::phaseName(static_cast<obs::Phase>(i));
+        SCOPED_TRACE(name);
+        std::string prefix = "campaign.phase." + name;
+        EXPECT_EQ(reg.value(prefix + "_seconds"), st.phases.seconds[i]);
+        EXPECT_EQ(reg.value(prefix + "_count"),
+                  static_cast<double>(st.phases.count[i]));
+        if (const Json *ph = phases.find(name)) {
+            EXPECT_EQ(ph->at("seconds").num, st.phases.seconds[i]);
+            EXPECT_EQ(ph->at("count").num,
+                      static_cast<double>(st.phases.count[i]));
+        } else {
+            EXPECT_EQ(st.phases.count[i], 0u);
+        }
+    }
+    EXPECT_EQ(reg.value("campaign.phase.total_seconds"),
+              st.phases.total());
 }
 
 TEST(CampaignExport, StatsRegistryMatchesCampaignStats)
@@ -280,19 +341,52 @@ TEST(CampaignExport, StatsRegistryMatchesCampaignStats)
         GTEST_SKIP() << "stats compiled out (XFD_STATS_NOOP)";
     core::CampaignObserver obs;
     auto res = runObserved("btree", 1, obs);
+    {
+        SCOPED_TRACE("serial btree");
+        expectViewsAgree(res, obs.stats);
+    }
+    {
+        SCOPED_TRACE("4-thread btree");
+        core::CampaignObserver par_obs;
+        auto par = runObserved("btree", 4, par_obs);
+        expectViewsAgree(par, par_obs.stats);
+    }
+    {
+        // One campaign where the optional rows are live: batching,
+        // emit-time elision, partial crash states (with a planted
+        // partial-image bug) and page-granular resyncs.
+        SCOPED_TRACE("batched ringlog with crash states");
+        core::DetectorConfig dcfg;
+        dcfg.backend = "batched";
+        dcfg.crashStates = "sample:4";
+        dcfg.elideSameValueWrites = true;
+        core::CampaignObserver cs_obs;
+        auto cs = runObserved("ringlog", 1, cs_obs, dcfg,
+                              "ringlog.recovery.mirror_mismatch_abort");
+        const core::CampaignStats &st = cs.statistics();
+        EXPECT_GT(st.batchGroups, 0u);
+        EXPECT_GT(st.sameValueElided, 0u);
+        EXPECT_GT(st.crashStatesEnumerated, 0u);
+        EXPECT_GT(st.crashStatesExplored, 0u);
+        EXPECT_GT(cs.partialImageFindings(), 0u);
+        EXPECT_GT(st.restore.syncRestores, 0u);
+        expectViewsAgree(cs, cs_obs.stats);
+    }
+    {
+        // Batching folds equivalent points before crash-state pruning
+        // could see them, so the pruning rows need the delta backend.
+        SCOPED_TRACE("delta btree with crash states");
+        core::DetectorConfig dcfg;
+        dcfg.crashStates = "sample:4";
+        core::CampaignObserver cs_obs;
+        auto cs = runObserved("btree", 1, cs_obs, dcfg);
+        EXPECT_GT(cs.statistics().crashStatesPruned, 0u);
+        expectViewsAgree(cs, cs_obs.stats);
+    }
 
     const obs::StatsRegistry &reg = obs.stats;
-    EXPECT_EQ(reg.value("campaign.failure_points"),
-              static_cast<double>(res.statistics().failurePoints));
-    EXPECT_EQ(reg.value("campaign.post_executions"),
-              static_cast<double>(res.statistics().postExecutions));
-    EXPECT_EQ(reg.value("campaign.checks_performed"),
-              static_cast<double>(res.statistics().checksPerformed));
-    EXPECT_EQ(reg.value("campaign.checks_skipped"),
-              static_cast<double>(res.statistics().checksSkipped));
-    EXPECT_EQ(reg.value("campaign.pre_seconds"), res.statistics().preSeconds);
-    EXPECT_EQ(reg.value("campaign.total_seconds"),
-              res.statistics().totalSeconds());
+    EXPECT_EQ(reg.value("campaign.bugs"),
+              static_cast<double>(res.findings().size()));
 
     // Shadow-FSM edges: a btree campaign writes, flushes and fences.
     EXPECT_GT(reg.value("shadow_fsm.edge.Modified_to_WritebackPending"),

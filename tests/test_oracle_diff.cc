@@ -21,6 +21,7 @@
 #include "obs/stats.hh"
 #include "oracle/diff.hh"
 #include "pmlib/objpool.hh"
+#include "testutil_json.hh"
 #include "trace/subset.hh"
 #include "workloads/workload.hh"
 
@@ -30,6 +31,8 @@ namespace
 using namespace xfd;
 using trace::PmRuntime;
 using trace::SubsetMask;
+using xfdtest::Json;
+using xfdtest::parseJson;
 
 /** Run one differential campaign over a stock workload. */
 oracle::DiffReport
@@ -240,11 +243,37 @@ TEST(OracleDiff, CleanRunWritesNoArtifacts)
 
 TEST(OracleDiff, StatsExportAndJsonSection)
 {
-    oracle::DiffReport rep = diffWorkload("btree", smallConfig("btree"));
+    core::CampaignObserver obsv;
+    oracle::DiffConfig cfg;
+    cfg.observer = &obsv;
+    oracle::DiffReport rep =
+        diffWorkload("btree", smallConfig("btree"), cfg);
     ASSERT_TRUE(rep.clean()) << rep.summary();
 
-    obs::StatsRegistry reg;
-    oracle::exportOracleStats(reg, rep);
+    const obs::StatsRegistry &reg = obsv.stats;
+    core::JsonSection sec = oracle::oracleJsonSection(rep);
+    EXPECT_EQ(sec.key, "oracle");
+    std::ostringstream os;
+    core::writeStatsJson(rep.detector, nullptr, &reg, os, {sec});
+    Json doc = parseJson(os.str());
+
+    // Every oracle row reads the same from the report and the JSON
+    // section (and below, from the registry).
+    const Json &orc = doc.at("oracle");
+    for (const auto &m : oracle::diffMetrics()) {
+        SCOPED_TRACE(m.key);
+        EXPECT_EQ(orc.at(m.key).num, m.get(rep));
+    }
+    EXPECT_EQ(orc.at("disagreements").num, 0.0);
+    EXPECT_DOUBLE_EQ(orc.at("agreement_rate").num, 1.0);
+    EXPECT_EQ(orc.at("disagreement_fps").kind, Json::Arr);
+    EXPECT_EQ(orc.at("artifacts").kind, Json::Arr);
+    const Json &phases = doc.at("campaign").at("phases");
+    EXPECT_EQ(phases.at("oracle").at("count").num, 1.0);
+
+    // The registry is filled only when stats are compiled in.
+    if (!obs::statsCompiledIn)
+        return;
     EXPECT_EQ(reg.value("campaign.oracle.failure_points"),
               static_cast<double>(rep.failurePoints));
     EXPECT_EQ(reg.value("campaign.oracle.states_enumerated"),
@@ -253,16 +282,22 @@ TEST(OracleDiff, StatsExportAndJsonSection)
               static_cast<double>(rep.candidatesRun));
     EXPECT_EQ(reg.value("campaign.oracle.disagreements"), 0.0);
     EXPECT_DOUBLE_EQ(reg.value("campaign.oracle.agreement_rate"), 1.0);
+    for (const auto &m : oracle::diffMetrics()) {
+        SCOPED_TRACE(m.key);
+        EXPECT_NE(reg.find(m.registryName()), nullptr);
+        EXPECT_EQ(reg.value(m.registryName()), m.get(rep));
+    }
 
-    core::JsonSection sec = oracle::oracleJsonSection(rep);
-    EXPECT_EQ(sec.key, "oracle");
-    std::ostringstream os;
-    obs::JsonWriter w(os);
-    sec.body(w);
-    std::string json = os.str();
-    EXPECT_NE(json.find("\"agreement_rate\""), std::string::npos);
-    EXPECT_NE(json.find("\"disagreements\""), std::string::npos);
-    EXPECT_NE(json.find("\"states_enumerated\""), std::string::npos);
+    // The oracle phase is noted after the detector campaign finished;
+    // the registry's phase rows must include it, like the JSON's.
+    EXPECT_EQ(reg.value("campaign.phase.oracle_count"), 1.0);
+    EXPECT_EQ(reg.value("campaign.phase.oracle_seconds"),
+              phases.at("oracle").at("seconds").num);
+    double json_total = 0;
+    for (const auto &[name, ph] : phases.obj)
+        json_total += ph.at("seconds").num;
+    EXPECT_DOUBLE_EQ(reg.value("campaign.phase.total_seconds"),
+                     json_total);
 }
 
 /**

@@ -569,7 +569,6 @@ main(int argc, char **argv)
     }
 
     if (oracle_on) {
-        oracle::exportOracleStats(obs.stats, orep);
         extra.push_back(oracle::oracleJsonSection(orep));
         // Exit 3 signals a conformance break, distinct from findings
         // (1) and usage errors (2).
