@@ -828,11 +828,8 @@ Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
     // pruning set.
     for (; cs.lintCursor < fp; cs.lintCursor++)
         cs.lint.apply(pre[cs.lintCursor]);
-    std::string group = pre[fp].loc.str() + '|' + cs.lint.signature();
-    std::uint64_t stream = 1469598103934665603ull; // FNV-1a 64
-    for (char ch : group)
-        stream = (stream ^ static_cast<unsigned char>(ch)) *
-                 1099511628211ull;
+    std::string group = lint::equivalenceKey(pre[fp].loc, cs.lint);
+    std::uint64_t stream = lint::samplerStream(group);
 
     trace::CandidateSet::EnumerateOptions eopt;
     eopt.exhaustive = csCtx->exhaustive;

@@ -1,7 +1,7 @@
 #include "lint/frontier.hh"
 
 #include <algorithm>
-#include <set>
+#include <iterator>
 
 #include "common/logging.hh"
 
@@ -15,6 +15,206 @@ FrontierState::FrontierState(unsigned granularity, bool flushFree)
         fatal("lint granularity must be a power of two <= 64");
 }
 
+std::size_t
+FrontierState::HeadHash::operator()(const Head &k) const
+{
+    std::uint64_t h = static_cast<std::uint64_t>(k.kind) |
+                      static_cast<std::uint64_t>(k.flag) << 8 |
+                      static_cast<std::uint64_t>(k.commit) << 16;
+    for (std::uint32_t v :
+         {k.writerFile, k.writerLine, k.siteFile, k.siteLine}) {
+        h = (h ^ v) * 0x9e3779b97f4a7c15ull;
+        h ^= h >> 29;
+    }
+    return static_cast<std::size_t>(h);
+}
+
+namespace
+{
+
+/** splitmix64 finalizer: spreads dense key ids over the digest. */
+std::uint64_t
+mixId(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+} // namespace
+
+std::uint32_t
+FrontierState::fileId(const char *file)
+{
+    // Cached by pointer, interned by content: one file can reach the
+    // trace through several pointers (one per translation unit), and
+    // the signature compares names, not pointers.
+    if (file == lastFile)
+        return lastFileId;
+    lastFile = file;
+    auto it = fileByPtr.find(file);
+    if (it != fileByPtr.end())
+        return lastFileId = it->second;
+    auto [n, fresh] = fileByName.emplace(
+        file, static_cast<std::uint32_t>(fileNames.size() + 1));
+    if (fresh)
+        fileNames.push_back(file);
+    fileByPtr.emplace(file, n->second);
+    return lastFileId = n->second;
+}
+
+std::uint32_t
+FrontierState::keyOf(std::uint64_t idx, const FrontierCell &c)
+{
+    Addr a = idx * gran;
+    const CommitVar *var = coveringVar(a);
+    bool consistent =
+        var && var->tprelast <= c.tlast && c.tlast < var->tlast;
+    Head h;
+    if (c.st != CellState::Persisted) {
+        // The read check passes an in-flight cell only when its
+        // commit window covers it consistently, so that class —
+        // uncovered, covered-consistent, covered-inconsistent — is
+        // part of the cell's identity.
+        h.kind = KeyKind::InFlight;
+        h.flag = c.uninit ? 'u' : '-';
+        h.commit = !var ? 'n' : consistent ? 'c' : 'i';
+    } else {
+        if (c.uninit || !var || consistent)
+            return 0;
+        h.kind = KeyKind::Inconsistent;
+        h.flag = c.tlast < var->tprelast ? 's' : '-';
+    }
+    // Keys hold the writer's source location and allocation region,
+    // not the address: the signature must be identical across loop
+    // iterations that touch *different* addresses through the *same*
+    // code.
+    h.writerFile = fileId(c.writer.file);
+    h.writerLine = c.writer.line;
+    std::uint64_t offset = 0;
+    auto al = allocs.upper_bound(a);
+    if (al != allocs.begin() && a < std::prev(al)->second.first) {
+        // Alloc site plus field offset: instances of one object type
+        // collapse, but distinct fields of it do not (a ctree node's
+        // child[0] vs child[1] are read back by different recovery
+        // statements).
+        --al;
+        h.siteFile = fileId(al->second.second.file);
+        h.siteLine = al->second.second.line;
+        offset = a - al->first;
+    }
+    if (lastHeadId == UINT32_MAX || !(h == lastHead)) {
+        auto hit = headIds.find(h);
+        if (hit == headIds.end()) {
+            auto id = static_cast<std::uint32_t>(heads.size());
+            hit = headIds.emplace(h, id).first;
+            heads.push_back(h);
+        }
+        lastHead = h;
+        lastHeadId = hit->second;
+    }
+    // An allocation is at most 4 GiB (TraceEntry::size), so the
+    // offset fits the low word.
+    std::uint64_t packed = std::uint64_t{lastHeadId} << 32 | offset;
+    auto it = keyIds.find(packed);
+    if (it == keyIds.end()) {
+        auto id = static_cast<std::uint32_t>(keys.size());
+        it = keyIds.emplace(packed, id).first;
+        keys.push_back(packed);
+        keyCount.push_back(0);
+    }
+    return it->second + 1;
+}
+
+void
+FrontierState::rekey(std::uint64_t idx, FrontierCell &c)
+{
+    std::uint32_t k = keyOf(idx, c);
+    if (k != c.key) {
+        if (c.key && --keyCount[c.key - 1] == 0)
+            digest ^= mixId(c.key);
+        if (k && keyCount[k - 1]++ == 0)
+            digest ^= mixId(k);
+        c.key = k;
+    }
+    bool data = c.st != CellState::Persisted && !isCommitVarAddr(idx * gran);
+    if (data != c.inflightData) {
+        dataCells += data ? 1 : static_cast<std::size_t>(-1);
+        c.inflightData = data;
+    }
+}
+
+void
+FrontierState::rekeyAddrs(Addr lo, Addr hi)
+{
+    if (lo >= hi)
+        return;
+    auto end = cells.lower_bound((hi + gran - 1) / gran);
+    for (auto it = cells.lower_bound((lo + gran - 1) / gran); it != end;
+         ++it) {
+        rekey(it->first, it->second);
+    }
+}
+
+void
+FrontierState::settle()
+{
+    // Programs register their commit variables back to back, often
+    // after formatting has written every cell: one pass after the
+    // last registration instead of one per registration.
+    if (!coverStale)
+        return;
+    coverStale = false;
+    for (auto &[idx, c] : cells)
+        rekey(idx, c);
+}
+
+void
+FrontierState::eraseCell(std::map<std::uint64_t, FrontierCell>::iterator it)
+{
+    FrontierCell &c = it->second;
+    c.st = CellState::Persisted;
+    c.uninit = true; // no key, not in flight
+    rekey(it->first, c);
+    cells.erase(it);
+}
+
+void
+FrontierState::touch(std::uint64_t idx, FrontierCell &c)
+{
+    if (c.tlast == ts)
+        return;
+    c.tlast = ts;
+    if (byEpoch.size() <= static_cast<std::size_t>(ts))
+        byEpoch.resize(static_cast<std::size_t>(ts) + 1);
+    byEpoch[static_cast<std::size_t>(ts)].push_back(idx);
+}
+
+Addr
+FrontierState::governingEnd(Addr a) const
+{
+    auto it = allocs.upper_bound(a);
+    if (it == allocs.begin())
+        return a;
+    return std::max(a, std::prev(it)->second.first);
+}
+
+void
+FrontierState::reRegion(Addr begin, Addr from, Addr endBefore)
+{
+    // A cell's region is decided by the allocation with the greatest
+    // begin at or below it, so only cells between @p begin and the
+    // next allocation can have changed — and only those below the
+    // governing allocation's end before or after the change (past
+    // both, the cell was and stays "root").
+    auto next = allocs.upper_bound(begin);
+    Addr hi = std::max(endBefore, governingEnd(begin));
+    if (next != allocs.end())
+        hi = std::min(hi, next->first);
+    rekeyAddrs(std::max(begin, from), hi);
+}
+
 void
 FrontierState::applyWrite(const trace::TraceEntry &e)
 {
@@ -23,29 +223,16 @@ FrontierState::applyWrite(const trace::TraceEntry &e)
     bool non_temporal = e.op == trace::Op::NtWrite;
     std::uint64_t first = cellIndex(e.addr);
     std::uint64_t count = cellCount(e.addr, e.size);
-    // Flush-free model: every store is durable on arrival, mirroring
-    // ShadowPM::preWrite under eADR.
-    CellState to = eadr            ? CellState::Persisted
-                   : non_temporal ? CellState::WritebackPending
-                                  : CellState::Modified;
-    for (std::uint64_t i = 0; i < count; i++) {
-        FrontierCell &c = cells[first + i];
-        c.st = to;
-        c.writer = e.loc;
-        c.writerSeq = e.seq;
-        c.tlast = ts;
-        c.uninit = false;
-        if (non_temporal && !eadr)
-            pendingCells.push_back(first + i);
-    }
     // A write overlapping a commit variable is a commit write: it
     // versions the consistency window of the variable's address set.
     // The written value is recorded too — recovery branches on it
     // (that is what a commit variable is for), so points whose
     // commit variables hold different values must never prune
     // against each other.
+    std::vector<std::pair<const CommitVar *, std::int32_t>> moved;
     for (auto &cv : commitVars) {
         if (cv.var.overlaps({e.addr, e.addr + e.size})) {
+            moved.push_back({&cv, cv.tprelast});
             cv.tprelast = cv.tlast;
             cv.tlast = ts;
             cv.lastVal.clear();
@@ -62,6 +249,66 @@ FrontierState::applyWrite(const trace::TraceEntry &e)
                 cv.lastVal += strprintf("%02x", e.data[i]);
         }
     }
+    // Flush-free model: every store is durable on arrival, mirroring
+    // ShadowPM::preWrite under eADR.
+    CellState to = eadr            ? CellState::Persisted
+                   : non_temporal ? CellState::WritebackPending
+                                  : CellState::Modified;
+    for (std::uint64_t i = 0; i < count; i++) {
+        FrontierCell &c = cells[first + i];
+        // A rewrite by the same statement in the same epoch keeps the
+        // key unless this write moved a commit window.
+        bool same = c.st == to && !c.uninit && c.tlast == ts &&
+                    c.writer.file == e.loc.file &&
+                    c.writer.line == e.loc.line && moved.empty();
+        c.st = to;
+        c.writer = e.loc;
+        c.writerSeq = e.seq;
+        c.uninit = false;
+        touch(first + i, c);
+        if (!same)
+            rekey(first + i, c);
+        if (non_temporal && !eadr)
+            pendingCells.push_back(first + i);
+    }
+    for (const auto &[var, from] : moved)
+        reclassify(*var, from);
+}
+
+void
+FrontierState::reclassify(const CommitVar &var, std::int32_t from)
+{
+    // A commit write moved the variable's windows from (P, L) to
+    // (L, now): only cells it covers that were last written in
+    // epochs [P, now) change class — older ones stay stale, newer
+    // ones stay inconsistent. Visit whichever is smaller: those
+    // epochs, or the variable's explicit ranges.
+    if (&var != defaultCover() && var.ranges.empty())
+        return;
+    auto lo = static_cast<std::size_t>(std::max(from, 0));
+    auto hi = std::min(static_cast<std::size_t>(ts), byEpoch.size());
+    std::size_t epochCells = 0;
+    for (std::size_t t = lo; t < hi; t++)
+        epochCells += byEpoch[t].size();
+    std::size_t rangeCells = SIZE_MAX;
+    if (!var.ranges.empty()) {
+        rangeCells = 0;
+        for (const auto &r : var.ranges)
+            rangeCells += cellCount(r.begin, r.end - r.begin);
+    }
+    if (rangeCells < epochCells) {
+        for (const auto &r : var.ranges)
+            rekeyAddrs(r.begin, r.end);
+        return;
+    }
+    for (std::size_t t = lo; t < hi; t++) {
+        for (std::uint64_t idx : byEpoch[t]) {
+            auto it = cells.find(idx);
+            if (it != cells.end() &&
+                it->second.tlast == static_cast<std::int32_t>(t))
+                rekey(idx, it->second);
+        }
+    }
 }
 
 void
@@ -73,6 +320,7 @@ FrontierState::applyFlush(Addr line)
     std::uint64_t first = cellIndex(line);
     std::uint64_t count = cellCount(line, cacheLineSize);
     for (std::uint64_t i = 0; i < count; i++) {
+        // Modified and WritebackPending share a key: no rekey.
         auto it = cells.find(first + i);
         if (it != cells.end() && it->second.st == CellState::Modified) {
             it->second.st = CellState::WritebackPending;
@@ -89,10 +337,50 @@ FrontierState::applyFence()
         if (it != cells.end() &&
             it->second.st == CellState::WritebackPending) {
             it->second.st = CellState::Persisted;
+            rekey(idx, it->second);
         }
     }
     pendingCells.clear();
     ts++;
+}
+
+void
+FrontierState::applyAlloc(const trace::TraceEntry &e)
+{
+    Addr endBefore = governingEnd(e.addr);
+    if (e.size)
+        allocs[e.addr] = {e.addr + e.size, e.loc};
+    std::uint64_t first = cellIndex(e.addr);
+    std::uint64_t count = cellCount(e.addr, e.size);
+    for (std::uint64_t i = 0; i < count; i++) {
+        FrontierCell &c = cells[first + i];
+        c.st = CellState::Modified;
+        c.writer = e.loc;
+        c.writerSeq = e.seq;
+        c.uninit = true;
+        touch(first + i, c);
+        rekey(first + i, c);
+    }
+    if (e.size)
+        reRegion(e.addr, e.addr + e.size, endBefore);
+}
+
+void
+FrontierState::applyFree(const trace::TraceEntry &e)
+{
+    std::uint64_t first = cellIndex(e.addr);
+    std::uint64_t count = cellCount(e.addr, e.size);
+    for (std::uint64_t i = 0; i < count; i++) {
+        auto it = cells.find(first + i);
+        if (it != cells.end())
+            eraseCell(it);
+    }
+    auto al = allocs.find(e.addr);
+    if (al != allocs.end()) {
+        Addr endBefore = al->second.first;
+        allocs.erase(al);
+        reRegion(e.addr, e.addr, endBefore);
+    }
 }
 
 void
@@ -115,36 +403,26 @@ FrontierState::apply(const trace::TraceEntry &e)
       case Op::Mfence:
         applyFence();
         break;
-      case Op::Alloc: {
-        std::uint64_t first = cellIndex(e.addr);
-        std::uint64_t count = cellCount(e.addr, e.size);
-        for (std::uint64_t i = 0; i < count; i++) {
-            FrontierCell &c = cells[first + i];
-            c.st = CellState::Modified;
-            c.writer = e.loc;
-            c.writerSeq = e.seq;
-            c.tlast = ts;
-            c.uninit = true;
-        }
-        if (e.size)
-            allocs[e.addr] = {e.addr + e.size, e.loc};
+      case Op::Alloc:
+        applyAlloc(e);
         break;
-      }
-      case Op::Free: {
-        std::uint64_t first = cellIndex(e.addr);
-        std::uint64_t count = cellCount(e.addr, e.size);
-        for (std::uint64_t i = 0; i < count; i++)
-            cells.erase(first + i);
-        allocs.erase(e.addr);
+      case Op::Free:
+        applyFree(e);
         break;
-      }
       case Op::CommitVar: {
         AddrRange r{e.addr, e.addr + e.size};
         for (const auto &cv : commitVars) {
             if (cv.var == r)
                 return;
         }
+        const CommitVar *coverBefore = defaultCover();
         commitVars.push_back(CommitVar{r, {}, -1, -1, {}});
+        // Its own cells stop counting as data in flight. It covers
+        // nothing itself, but it can start or end the default-cover
+        // rule, which reaches every cell.
+        rekeyAddrs(r.begin, r.end);
+        if (coverBefore || defaultCover())
+            coverStale = true;
         break;
       }
       case Op::CommitRange:
@@ -153,7 +431,13 @@ FrontierState::apply(const trace::TraceEntry &e)
                 AddrRange r{e.addr, e.addr + e.size};
                 if (std::find(cv.ranges.begin(), cv.ranges.end(), r) ==
                     cv.ranges.end()) {
+                    // Ends the default cover, or covers r anew.
+                    bool wasDefault = defaultCover() != nullptr;
                     cv.ranges.push_back(r);
+                    if (wasDefault)
+                        coverStale = true;
+                    else
+                        rekeyAddrs(r.begin, r.end);
                 }
                 return;
             }
@@ -205,13 +489,7 @@ FrontierState::fenceWouldRetire() const
 bool
 FrontierState::dataInFlight() const
 {
-    for (const auto &[idx, c] : cells) {
-        if (c.st == CellState::Persisted)
-            continue;
-        if (!isCommitVarAddr(idx * gran))
-            return true;
-    }
-    return false;
+    return dataCells != 0;
 }
 
 bool
@@ -248,89 +526,55 @@ FrontierState::coveringVar(Addr a) const
                 return &cv;
         }
     }
+    return defaultCover();
+}
+
+const FrontierState::CommitVar *
+FrontierState::defaultCover() const
+{
     if (commitVars.size() == 1 && commitVars.front().ranges.empty())
         return &commitVars.front();
     return nullptr;
 }
 
-std::string
-FrontierState::regionTag(Addr a) const
+void
+FrontierState::formatKey(std::uint32_t k)
 {
-    auto it = allocs.upper_bound(a);
-    if (it != allocs.begin()) {
-        --it;
-        if (a < it->second.first) {
-            // Alloc site plus field offset: instances of one object
-            // type collapse, but distinct fields of it do not (a
-            // ctree node's child[0] vs child[1] are read back by
-            // different recovery statements).
-            const trace::SrcLoc &loc = it->second.second;
-            return strprintf(
-                "%s:%u+%llu", loc.file, loc.line,
-                static_cast<unsigned long long>(a - it->first));
-        }
+    std::string &text = keyTexts[k - 1];
+    const Head &h = heads[keys[k - 1] >> 32];
+    std::string region =
+        h.siteFile ? strprintf("%s:%u+%llu",
+                               fileNames[h.siteFile - 1].c_str(),
+                               h.siteLine,
+                               static_cast<unsigned long long>(
+                                   keys[k - 1] & 0xffffffffu))
+                   : std::string("root");
+    const char *writer = fileNames[h.writerFile - 1].c_str();
+    if (h.kind == KeyKind::InFlight) {
+        text = strprintf("%s:%u:%c%c@%s", writer, h.writerLine, h.flag,
+                         h.commit, region.c_str());
+    } else {
+        text = strprintf("%s:%u:%c@%s", writer, h.writerLine, h.flag,
+                         region.c_str());
     }
-    return "root";
+}
+
+std::vector<std::uint32_t>
+FrontierState::liveKeys()
+{
+    settle();
+    std::vector<std::uint32_t> live;
+    for (std::size_t i = 0; i < keyCount.size(); i++) {
+        if (keyCount[i])
+            live.push_back(static_cast<std::uint32_t>(i + 1));
+    }
+    return live;
 }
 
 std::string
-FrontierState::signature() const
+FrontierState::commitValues() const
 {
-    // Sets of strings rather than cell indices: the signature must be
-    // identical across loop iterations that touch *different*
-    // addresses through the *same* code, so cells contribute their
-    // writer's source location and allocation region, not their
-    // address.
-    std::set<std::string> inflight;
-    std::set<std::string> inconsistent;
-    for (const auto &[idx, c] : cells) {
-        if (c.st != CellState::Persisted) {
-            // The read check passes an in-flight cell only when its
-            // commit window covers it consistently, so that class —
-            // uncovered, covered-consistent, covered-inconsistent —
-            // must be part of the cell's identity.
-            const CommitVar *var = coveringVar(idx * gran);
-            char commit = 'n';
-            if (var) {
-                commit = var->tprelast <= c.tlast &&
-                                 c.tlast < var->tlast
-                             ? 'c'
-                             : 'i';
-            }
-            inflight.insert(strprintf(
-                "%s:%u:%c%c@%s", c.writer.file, c.writer.line,
-                c.uninit ? 'u' : '-', commit,
-                regionTag(idx * gran).c_str()));
-            continue;
-        }
-        if (c.uninit)
-            continue;
-        const CommitVar *var = coveringVar(idx * gran);
-        if (!var)
-            continue;
-        bool consistent =
-            var->tprelast <= c.tlast && c.tlast < var->tlast;
-        if (consistent)
-            continue;
-        bool stale = c.tlast < var->tprelast;
-        inconsistent.insert(strprintf(
-            "%s:%u:%c@%s", c.writer.file, c.writer.line,
-            stale ? 's' : '-', regionTag(idx * gran).c_str()));
-    }
-    std::string sig;
-    for (const auto &s : inflight) {
-        sig += s;
-        sig += ';';
-    }
-    sig += '|';
-    for (const auto &s : inconsistent) {
-        sig += s;
-        sig += ';';
-    }
-    // Commit-variable values: recovery branches on them, so the
-    // current value (plus the persistency state of the variable's
-    // first cell, which decides what a realistic crash image holds)
-    // is part of the failure point's identity.
+    std::string out;
     for (std::size_t i = 0; i < commitVars.size(); i++) {
         const CommitVar &cv = commitVars[i];
         char st = '-';
@@ -342,9 +586,43 @@ FrontierState::signature() const
               case CellState::Persisted: st = 'p'; break;
             }
         }
-        sig += strprintf("#%zu=%s:%c", i, cv.lastVal.c_str(), st);
+        out += strprintf("#%zu=%s:%c", i, cv.lastVal.c_str(), st);
     }
-    return sig;
+    return out;
+}
+
+std::string
+FrontierState::signature()
+{
+    settle();
+    // Keys are ranked by text once, as they are interned; each call
+    // then walks that order and emits the live ones.
+    std::size_t ranked = keyOrder.size();
+    if (ranked < keys.size()) {
+        keyTexts.resize(keys.size());
+        for (std::size_t k = ranked; k < keys.size(); k++) {
+            keyOrder.push_back(static_cast<std::uint32_t>(k + 1));
+            formatKey(keyOrder.back());
+        }
+        auto byText = [&](std::uint32_t a, std::uint32_t b) {
+            return keyTexts[a - 1] < keyTexts[b - 1];
+        };
+        std::sort(keyOrder.begin() + ranked, keyOrder.end(), byText);
+        std::inplace_merge(keyOrder.begin(), keyOrder.begin() + ranked,
+                           keyOrder.end(), byText);
+    }
+    std::string sig;
+    for (KeyKind kind : {KeyKind::InFlight, KeyKind::Inconsistent}) {
+        if (kind == KeyKind::Inconsistent)
+            sig += '|';
+        for (std::uint32_t k : keyOrder) {
+            if (keyCount[k - 1] && heads[keys[k - 1] >> 32].kind == kind) {
+                sig += keyTexts[k - 1];
+                sig += ';';
+            }
+        }
+    }
+    return sig + commitValues();
 }
 
 void
@@ -355,6 +633,21 @@ FrontierState::forEachInFlight(
         if (c.st != CellState::Persisted)
             fn(idx * gran, c);
     }
+}
+
+std::string
+equivalenceKey(const trace::SrcLoc &at, FrontierState &st)
+{
+    return at.str() + '|' + st.signature();
+}
+
+std::uint64_t
+samplerStream(const std::string &key)
+{
+    std::uint64_t h = 1469598103934665603ull; // FNV-1a 64
+    for (char ch : key)
+        h = (h ^ static_cast<unsigned char>(ch)) * 1099511628211ull;
+    return h;
 }
 
 } // namespace xfd::lint

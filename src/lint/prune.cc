@@ -15,6 +15,7 @@
  * representative's findings.
  */
 
+#include <algorithm>
 #include <map>
 
 #include "common/logging.hh"
@@ -33,26 +34,39 @@ computePruneVerdicts(const trace::TraceBuffer &pre,
     if (points.empty())
         return v;
 
+    /** A kept representative's frontier identity. */
+    struct Rep
+    {
+        std::uint64_t digest;
+        std::string values;
+        std::vector<std::uint32_t> keys;
+        std::uint32_t seq;
+    };
     FrontierState st(granularity, flushFree);
-    // Ordering-point location -> signature -> kept representative.
-    std::map<std::string, std::map<std::string, std::uint32_t>> seen;
+    // Ordering-point location -> kept representatives.
+    std::map<std::string, std::vector<Rep>> seen;
 
     std::size_t next = 0;
     for (const auto &e : pre) {
         if (next < points.size() && e.seq == points[next]) {
             // The failure preempts this entry, so the signature is
-            // the state *before* it applies.
-            std::string group =
-                strprintf("%s:%u", e.loc.file, e.loc.line);
-            std::string sig = st.signature();
-            auto &bySig = seen[group];
-            auto it = bySig.find(sig);
-            if (it == bySig.end()) {
-                bySig.emplace(std::move(sig), e.seq);
-                v.kept.push_back(e.seq);
+            // the state *before* it applies. Equal signatures are
+            // equal key sets plus equal commit values; the digest
+            // rules out almost every other representative before the
+            // key sets are compared exactly.
+            auto &reps = seen[strprintf("%s:%u", e.loc.file, e.loc.line)];
+            Rep cur{st.keyDigest(), st.commitValues(), st.liveKeys(),
+                    e.seq};
+            auto match = std::find_if(
+                reps.begin(), reps.end(), [&](const Rep &r) {
+                    return r.digest == cur.digest &&
+                           r.values == cur.values && r.keys == cur.keys;
+                });
+            if (match != reps.end()) {
+                v.pruned.push_back(PruneVerdicts::Pruned{e.seq, match->seq});
             } else {
-                v.pruned.push_back(
-                    PruneVerdicts::Pruned{e.seq, it->second});
+                reps.push_back(std::move(cur));
+                v.kept.push_back(e.seq);
             }
             next++;
         }

@@ -251,7 +251,7 @@ runDifferentialCampaign(pm::PmPool &pool, const core::ProgramFn &pre,
     std::map<std::uint32_t, std::uint32_t> prunedRep;
     if (dcfg.batchingOn() && !plan.points.empty()) {
         lint::PruneVerdicts v = lint::computePruneVerdicts(
-            preTrace, plan.points, dcfg.granularity);
+            preTrace, plan.points, dcfg.granularity, dcfg.eadrOn());
         for (const auto &p : v.pruned)
             prunedRep[p.fp] = p.keptRep;
     }
@@ -305,10 +305,10 @@ runDifferentialCampaign(pm::PmPool &pool, const core::ProgramFn &pre,
         }
 
         // Reproduce the detector's sampler stream for this point (the
-        // FNV-1a hash of its equivalence class) and hand the oracle
-        // the masks the detector's findings were first exposed on, so
-        // a verdict exists at every one of them even if enumeration
-        // drifts.
+        // lint helper the detector hashes its equivalence class with)
+        // and hand the oracle the masks the detector's findings were
+        // first exposed on, so a verdict exists at every one of them
+        // even if enumeration drifts.
         std::uint64_t stream = 0;
         const std::uint64_t *streamPtr = nullptr;
         std::vector<trace::SubsetMask> detMasks;
@@ -316,12 +316,8 @@ runDifferentialCampaign(pm::PmPool &pool, const core::ProgramFn &pre,
         if (csOn) {
             for (; lintCursor < fp; lintCursor++)
                 lintState.apply(preTrace[lintCursor]);
-            std::string group =
-                preTrace[fp].loc.str() + '|' + lintState.signature();
-            stream = 1469598103934665603ull; // FNV-1a 64
-            for (char ch : group)
-                stream = (stream ^ static_cast<unsigned char>(ch)) *
-                         1099511628211ull;
+            stream = lint::samplerStream(
+                lint::equivalenceKey(preTrace[fp].loc, lintState));
             streamPtr = &stream;
             auto mit = detectorByFpMask.find(detectorFp);
             if (mit != detectorByFpMask.end()) {

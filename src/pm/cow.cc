@@ -130,6 +130,30 @@ CowImage::firstMismatch(const std::uint8_t *other) const
     return SIZE_MAX;
 }
 
+namespace
+{
+
+/** Whether any of the @p n bytes at @p p is nonzero. */
+bool
+anyNonZero(const std::uint8_t *p, std::size_t n)
+{
+    std::size_t i = 0;
+    for (; i + 4 * sizeof(std::uint64_t) <= n;
+         i += 4 * sizeof(std::uint64_t)) {
+        std::uint64_t w[4];
+        std::memcpy(w, p + i, sizeof w);
+        if (w[0] | w[1] | w[2] | w[3])
+            return true;
+    }
+    for (; i < n; i++) {
+        if (p[i])
+            return true;
+    }
+    return false;
+}
+
+} // namespace
+
 void
 CowImage::collectNonZeroPages(std::size_t pageSize,
                               std::set<std::uint32_t> &out) const
@@ -137,16 +161,14 @@ CowImage::collectNonZeroPages(std::size_t pageSize,
     for (std::size_t p = 0; p < pages.size(); p++) {
         const std::uint8_t *bytes = pages[p].get();
         std::size_t off = p * pageSz;
-        std::size_t len = std::min(pageSz, totalSize - off);
-        for (std::size_t i = 0; i < len; i++) {
-            if (!bytes[i])
-                continue;
-            out.insert(static_cast<std::uint32_t>((off + i) /
-                                                  pageSize));
-            // Skip to the next output page — everything before it is
-            // already accounted for.
-            std::size_t next = ((off + i) / pageSize + 1) * pageSize;
-            i = next - off - 1;
+        std::size_t end = off + std::min(pageSz, totalSize - off);
+        // One chunk per output page this image page overlaps.
+        for (std::size_t at = off; at < end;) {
+            std::size_t stop =
+                std::min(end, (at / pageSize + 1) * pageSize);
+            if (anyNonZero(bytes + (at - off), stop - at))
+                out.insert(static_cast<std::uint32_t>(at / pageSize));
+            at = stop;
         }
     }
 }

@@ -99,8 +99,12 @@ class CowImage
     /**
      * Union into @p out the indices (at @p pageSize granularity,
      * which need not match pageSize()) of every page containing a
-     * nonzero byte. See pm::collectNonZeroPages for why the driver
-     * wants this of the initial snapshot.
+     * nonzero byte, testing a machine word at a time. Of the initial
+     * snapshot, together with an ImageDeltaStore's full write-log
+     * page set, this bounds where any campaign working image can
+     * differ from a fresh zeroed pool, which is what lets chunk
+     * starts restore a page subset instead of the whole pool (see
+     * Driver::handleFailurePoint).
      */
     void collectNonZeroPages(std::size_t pageSize,
                              std::set<std::uint32_t> &out) const;

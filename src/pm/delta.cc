@@ -126,25 +126,4 @@ restoreFull(const CowImage &src, PmPool &pool, DeltaRestoreStats &stats)
     stats.bytesFullCopy += src.size();
 }
 
-void
-collectNonZeroPages(const PmImage &img, std::size_t pageSize,
-                    std::set<std::uint32_t> &out)
-{
-    const std::uint8_t *d = img.data();
-    std::size_t n = img.size();
-    for (std::size_t off = 0; off < n; off += pageSize) {
-        std::size_t len = std::min(pageSize, n - off);
-        const std::uint8_t *p = d + off;
-        bool zero = true;
-        for (std::size_t i = 0; i < len; i++) {
-            if (p[i]) {
-                zero = false;
-                break;
-            }
-        }
-        if (!zero)
-            out.insert(static_cast<std::uint32_t>(off / pageSize));
-    }
-}
-
 } // namespace xfd::pm

@@ -213,6 +213,21 @@ class PPtr
                      : nullptr;
     }
 
+    /**
+     * Resolve for a dereference: like get(), but a null pointer
+     * throws the BadPmAccess{0, 0} a field access through it would
+     * raise in PmPool::toAddr, instead of forming a member access
+     * through nullptr. A torn structure can hand recovery a null
+     * link.
+     */
+    T *
+    deref(PmPool &pool) const
+    {
+        if (!addr_)
+            throw BadPmAccess{0, 0};
+        return get(pool);
+    }
+
     bool operator==(const PPtr &o) const = default;
 
   private:

@@ -283,4 +283,30 @@ TEST(LintOracle, PrunedPointsRecheckedAtFullAgreement)
     }
 }
 
+TEST(LintOracle, RechecksExactlyTheFoldedPointsUnderEveryModel)
+{
+    // The oracle must derive the detector's grouping, persistency
+    // model included: a point it does not know was folded is checked
+    // against a detector run that never happened.
+    for (const std::string name : {"btree", "hashmap_atomic"}) {
+        for (const char *model : {"clwb", "eadr"}) {
+            SCOPED_TRACE(name + " " + model);
+            std::shared_ptr<workloads::Workload> w =
+                workloads::makeWorkload(name, smallConfig(name));
+            pm::PmPool pool(xfdtest::defaultPoolBytes);
+            oracle::DiffConfig cfg;
+            cfg.detector.backend = "batched";
+            cfg.detector.pmModel = model;
+            oracle::DiffReport rep = oracle::runDifferentialCampaign(
+                pool, [w](PmRuntime &rt) { w->pre(rt); },
+                [w](PmRuntime &rt) { w->post(rt); }, cfg);
+
+            EXPECT_GT(rep.prunedRechecked, 0u);
+            EXPECT_EQ(rep.prunedRechecked,
+                      rep.detector.statistics().lintPrunedPoints);
+            EXPECT_EQ(rep.disagreements, 0u) << rep.summary();
+        }
+    }
+}
+
 } // namespace

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "pm/cow.hh"
 #include "pm/image.hh"
 #include "pm/pool.hh"
 
@@ -104,6 +107,36 @@ TEST(PmImage, ApplyWriteIndependentOfPool)
     img.applyWrite(pool.base(), &v, sizeof(v));
     // Pool untouched until copyTo.
     EXPECT_EQ(*pool.at<std::uint32_t>(0), 0u);
+}
+
+TEST(CowImage, NonZeroPagesAtAnyGranularity)
+{
+    // An image whose size is no multiple of its page size, with set
+    // bytes at page edges, inside a word and in the ragged tail.
+    std::vector<std::uint8_t> bytes(3 * 4096 + 100, 0);
+    for (std::size_t off : {std::size_t{0}, std::size_t{4095},
+                            std::size_t{8192 + 13}, std::size_t{12300}})
+        bytes[off] = 1;
+    pm::CowImage img(PmImage(defaultPoolBase, bytes), 4096);
+    for (std::size_t pageSize : {std::size_t{64}, std::size_t{1000},
+                                 std::size_t{4096}, std::size_t{16384}}) {
+        std::set<std::uint32_t> want;
+        for (std::size_t i = 0; i < bytes.size(); i++) {
+            if (bytes[i])
+                want.insert(static_cast<std::uint32_t>(i / pageSize));
+        }
+        std::set<std::uint32_t> got;
+        img.collectNonZeroPages(pageSize, got);
+        EXPECT_EQ(got, want) << "page size " << pageSize;
+    }
+}
+
+TEST(PPtrTest, DerefOfNullIsAWildAccess)
+{
+    PmPool pool(1 << 16);
+    PPtr<std::uint64_t> p(pool.base() + 64);
+    EXPECT_EQ(p.deref(pool), p.get(pool));
+    EXPECT_THROW(PPtr<std::uint64_t>().deref(pool), pm::BadPmAccess);
 }
 
 TEST(PPtrTest, NullAndResolve)
