@@ -9,6 +9,8 @@
 #include <latch>
 #include <mutex>
 #include <thread>
+#include <tuple>
+#include <unordered_map>
 
 #include "common/logging.hh"
 #include "core/campaign_metrics.hh"
@@ -33,66 +35,27 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 
 } // namespace
 
-/**
- * Cell-granular persistency mirror for --crash-states. Semantics
- * replicate the oracle's per-cell model (oracle/oracle.cc advance())
- * exactly: the driver's write frontiers, prefix chains and candidate
- * images must agree with the oracle's byte for byte, or the
- * conformance tier could never hold agreement at 1.0.
- */
-struct Driver::PreCursor::CsState
-{
-    enum class St : std::uint8_t
-    {
-        Modified,  ///< dirty in cache, no writeback in flight
-        Pending,   ///< writeback issued, fence not reached
-        Persisted, ///< last write guaranteed durable
-    };
-
-    struct Cell
-    {
-        St state = St::Modified;
-        /** Write seqs applied since the last guaranteed persist,
-            ascending — empty iff the cell's bytes are decided. */
-        std::vector<std::uint32_t> tail;
-    };
-
-    explicit CsState(const DetectorConfig &cfg)
-        : gran(cfg.granularity), lint(cfg.granularity, cfg.eadrOn())
-    {
-    }
-
-    unsigned gran;
-    std::map<std::uint64_t, Cell> cells;
-    /** Cells awaiting the next fence (stale entries re-checked). */
-    std::vector<std::uint64_t> pending;
-    /** Registered commit variables (dropped-commit suppression). */
-    std::vector<AddrRange> commitVars;
-    /**
-     * Lint frontier state advanced to lintCursor — the equivalence
-     * signature feeding the candidate pruning key and the sampler
-     * stream (the same identity --backend=batched folds points by).
-     */
-    lint::FrontierState lint;
-    std::uint32_t lintCursor = 0;
-
-    std::uint64_t cellIndex(Addr a) const { return a / gran; }
-    std::uint64_t cellCount(Addr a, std::size_t n) const
-    {
-        return (a + n - 1) / gran - a / gran + 1;
-    }
-    Addr cellAddr(std::uint64_t idx) const { return idx * gran; }
-};
-
 Driver::PreCursor::PreCursor(AddrRange range,
                              const DetectorConfig &cfg,
-                             const pm::CowImage &initial, bool cells)
+                             const pm::CowImage &initial, bool cellModel,
+                             const pm::ImageDeltaStore *delta)
     : shadow(range, cfg), image(initial)
 {
-    if (cells) {
-        durable = initial;
-        cs = std::make_unique<CsState>(cfg);
-    }
+    if (!cellModel)
+        return;
+    durable = initial;
+    cells = std::make_unique<lint::FrontierState>(cfg.granularity,
+                                                  cfg.eadrOn());
+    // The oracle's persistCellBytes: a decided cell's content is
+    // final, so the durable image takes its bytes from the working
+    // image (already past the entry) and partial candidates build on
+    // them.
+    unsigned gran = cfg.granularity;
+    cells->onDecided([this, gran, delta](Addr a) {
+        durable.copyFrom(image, a, gran);
+        if (delta)
+            durablePages.insert(delta->pageOf(a));
+    });
 }
 
 Driver::PreCursor::~PreCursor() = default;
@@ -106,8 +69,18 @@ struct Driver::CrashStateCtx
     bool exhaustive = false;
     std::size_t sampleCount = 0;
     std::mutex lock;
-    /** Equivalence key -> failure point whose run represents it. */
-    std::map<std::string, std::uint32_t> seen;
+    /**
+     * Equivalence keys seen so far, each stored once (a key carries
+     * a whole frontier signature, megabytes on large pools) -> its id.
+     */
+    std::unordered_map<std::string, std::uint32_t> keyIds;
+    /**
+     * (key id, frontier size, mask) -> failure point whose run
+     * represents that candidate.
+     */
+    std::map<std::tuple<std::uint32_t, std::size_t, trace::SubsetMask>,
+             std::uint32_t>
+        seen;
 };
 
 std::size_t
@@ -301,50 +274,32 @@ Driver::advanceImage(PreCursor &cur, const trace::TraceBuffer &pre,
     using trace::Op;
 
     const bool eadr = cfg.eadrOn();
-    using St = PreCursor::CsState::St;
-    PreCursor::CsState *cs = cur.cs.get();
-    // The oracle's persistCellBytes: a retired or freed cell's
-    // content is decided, so the durable image takes its bytes and
-    // partial candidates build on them.
-    auto persistCell = [&](std::uint64_t idx) {
-        Addr a = cs->cellAddr(idx);
-        cur.durable.copyFrom(cur.image, a, cs->gran);
-        if (deltaStore)
-            cur.durablePages.insert(deltaStore->pageOf(a));
-    };
     for (std::uint32_t &i = cur.imageCursor; i < to; i++) {
         const auto &e = pre[i];
         if (e.isWrite()) {
             cur.image.applyWrite(e.addr, e.data.data(), e.data.size());
-            if (cs) {
-                if (e.has(trace::flagImageOnly)) {
-                    // Allocator zero-fill and friends: image data with
-                    // no persistence semantics. Both images take it at
-                    // once, so it is never part of any frontier.
-                    cur.durable.applyWrite(e.addr, e.data.data(),
-                                           e.data.size());
-                    if (deltaStore && !e.data.empty()) {
-                        Addr end = e.addr + e.data.size() - 1;
-                        std::size_t ps = deltaStore->pageSize();
-                        for (Addr a = e.addr; a <= end;
-                             a = (a / ps + 1) * ps) {
-                            cur.durablePages.insert(
-                                deltaStore->pageOf(a));
-                        }
-                    }
-                } else if (e.size != 0) {
-                    bool nt = e.op == Op::NtWrite;
-                    std::uint64_t first = cs->cellIndex(e.addr);
-                    std::uint64_t n = cs->cellCount(e.addr, e.size);
-                    for (std::uint64_t c = 0; c < n; c++) {
-                        auto &cell = cs->cells[first + c];
-                        cell.state = nt ? St::Pending : St::Modified;
-                        cell.tail.push_back(e.seq);
-                        if (nt)
-                            cs->pending.push_back(first + c);
+            if (cur.cells && e.has(trace::flagImageOnly) &&
+                !e.data.empty()) {
+                // Allocator zero-fill and friends: image data with no
+                // persistence semantics. Both images take it at once,
+                // so it is never part of any frontier.
+                cur.durable.applyWrite(e.addr, e.data.data(),
+                                       e.data.size());
+                if (deltaStore) {
+                    Addr end = e.addr + e.data.size() - 1;
+                    std::size_t ps = deltaStore->pageSize();
+                    for (Addr a = e.addr; a <= end;
+                         a = (a / ps + 1) * ps) {
+                        cur.durablePages.insert(deltaStore->pageOf(a));
                     }
                 }
             }
+        }
+        // The cell model sees the entry after the working image does:
+        // every cell it decides copies its bytes from there.
+        if (cur.cells)
+            cur.cells->apply(e);
+        if (e.isWrite()) {
             // Flush-free persistency: the store is durable on arrival,
             // so it is never part of a write frontier (provenance stays
             // empty).
@@ -359,90 +314,15 @@ Driver::advanceImage(PreCursor &cur, const trace::TraceBuffer &pre,
                 if (e.op == Op::NtWrite)
                     cur.inflightPending.insert(l);
             }
-            continue;
-        }
-        if (e.isFlush()) {
-            if (cs) {
-                // Writeback starts for every modified cell in the
-                // line; durability lands at the next fence.
-                std::uint64_t first = cs->cellIndex(e.addr);
-                std::uint64_t n = cs->cellCount(e.addr, cacheLineSize);
-                for (std::uint64_t c = 0; c < n; c++) {
-                    auto it = cs->cells.find(first + c);
-                    if (it == cs->cells.end() ||
-                        it->second.state != St::Modified) {
-                        continue;
-                    }
-                    it->second.state = St::Pending;
-                    cs->pending.push_back(first + c);
-                }
-            }
+        } else if (e.isFlush()) {
             // Flushing moves the line toward durability; it lands at
             // the next fence.
             if (cur.inflight.count(e.addr))
                 cur.inflightPending.insert(e.addr);
         } else if (e.isFence()) {
-            if (cs) {
-                // The fence retires cells still pending (a cached
-                // write after the flush keeps the cell in flight).
-                for (std::uint64_t idx : cs->pending) {
-                    auto it = cs->cells.find(idx);
-                    if (it == cs->cells.end() ||
-                        it->second.state != St::Pending) {
-                        continue;
-                    }
-                    it->second.state = St::Persisted;
-                    persistCell(idx);
-                    it->second.tail.clear();
-                }
-                cs->pending.clear();
-            }
             for (Addr l : cur.inflightPending)
                 cur.inflight.erase(l);
             cur.inflightPending.clear();
-        } else if (cs) {
-            // Ops the line-granular frontier bookkeeping ignores but
-            // the cell model mirrors from the oracle.
-            switch (e.op) {
-              case Op::Alloc: {
-                std::uint64_t first = cs->cellIndex(e.addr);
-                std::uint64_t n = cs->cellCount(e.addr, e.size);
-                for (std::uint64_t c = 0; c < n; c++)
-                    cs->cells[first + c].state = St::Modified;
-                break;
-              }
-              case Op::Free: {
-                std::uint64_t first = cs->cellIndex(e.addr);
-                std::uint64_t n = cs->cellCount(e.addr, e.size);
-                for (std::uint64_t c = 0; c < n; c++) {
-                    auto it = cs->cells.find(first + c);
-                    if (it == cs->cells.end())
-                        continue;
-                    // Freed cells leave the frontier; pin their bytes
-                    // at the last written value so the anchor stays
-                    // byte-identical to the footnote-3 image.
-                    if (!it->second.tail.empty())
-                        persistCell(first + c);
-                    cs->cells.erase(it);
-                }
-                break;
-              }
-              case Op::CommitVar: {
-                AddrRange r{e.addr, e.addr + e.size};
-                bool known = false;
-                for (const auto &cv : cs->commitVars) {
-                    if (cv == r) {
-                        known = true;
-                        break;
-                    }
-                }
-                if (!known)
-                    cs->commitVars.push_back(r);
-                break;
-              }
-              default:
-                break;
-            }
         }
     }
 }
@@ -546,7 +426,7 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
     // there is no cell model: every store is durable on arrival, so
     // the working image already is that image.
     const bool durable_tier = cfg.durableTier();
-    const bool from_durable = durable_tier && cur.cs;
+    const bool from_durable = durable_tier && cur.cells;
 
     auto tb0 = std::chrono::steady_clock::now();
     {
@@ -635,10 +515,12 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
     // order of every candidate mask matches the oracle's exactly;
     // otherwise the line-granular bookkeeping supplies it.
     std::vector<std::uint32_t> frontier;
-    if (cur.cs) {
+    if (cur.cells) {
         std::set<std::uint32_t> seqs;
-        for (const auto &[idx, c] : cur.cs->cells)
-            seqs.insert(c.tail.begin(), c.tail.end());
+        cur.cells->forEachUndecided(
+            [&](Addr, const lint::FrontierCell &c) {
+                seqs.insert(c.tail.begin(), c.tail.end());
+            });
         frontier.assign(seqs.begin(), seqs.end());
     } else {
         for (const auto &ent : cur.inflight)
@@ -672,7 +554,7 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
     // Partial crash-state exploration rides after the anchor so its
     // findings merge into the same per-point sink (each annotated
     // with its own persisted mask) before the hook fires.
-    if (csCtx && cur.cs)
+    if (csCtx && cur.cells)
         exploreCrashStates(cur, exec_pool, pre, post, fp, frontier,
                            local, stats, wobs);
 
@@ -793,11 +675,13 @@ Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
 {
     if (frontier.empty())
         return;
-    PreCursor::CsState &cs = *cur.cs;
+    lint::FrontierState &cells = *cur.cells;
+    const unsigned gran = cfg.granularity;
 
-    // Frontier events + per-cell prefix chains from the cell model —
-    // the identical inputs the oracle derives, so enumeration agrees
-    // with it candidate for candidate.
+    // Frontier events + per-cell prefix chains (in address order)
+    // from the cell model — the identical inputs the oracle derives,
+    // so enumeration agrees with it candidate for candidate — and the
+    // pages of the cells they leave undecided.
     std::vector<trace::FrontierEvent> events;
     events.reserve(frontier.size());
     std::map<std::uint32_t, std::size_t> bitOf;
@@ -808,15 +692,16 @@ Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
     }
     std::size_t k = events.size();
     std::vector<std::vector<std::size_t>> chains;
-    for (const auto &[idx, c] : cs.cells) {
-        if (c.tail.empty())
-            continue;
+    std::set<std::uint32_t> undecided_pages;
+    cells.forEachUndecided([&](Addr a, const lint::FrontierCell &c) {
         std::vector<std::size_t> chain;
         chain.reserve(c.tail.size());
         for (std::uint32_t s : c.tail)
             chain.push_back(bitOf.at(s));
         chains.push_back(std::move(chain));
-    }
+        if (deltaStore)
+            undecided_pages.insert(deltaStore->pageOf(a));
+    });
     trace::CandidateSet cset(std::move(events), std::move(chains));
     const auto &frontier_ev = cset.frontier();
 
@@ -826,9 +711,7 @@ Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
     // points sample identical mask sequences, keeping full, delta and
     // batched schedules fingerprint-identical) and the campaign-global
     // pruning set.
-    for (; cs.lintCursor < fp; cs.lintCursor++)
-        cs.lint.apply(pre[cs.lintCursor]);
-    std::string group = lint::equivalenceKey(pre[fp].loc, cs.lint);
+    std::string group = lint::equivalenceKey(pre[fp].loc, cells);
     std::uint64_t stream = lint::samplerStream(group);
 
     trace::CandidateSet::EnumerateOptions eopt;
@@ -848,6 +731,15 @@ Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
                            : std::string(),
                         "crash-states", wobs.track);
 
+    std::uint32_t group_id;
+    {
+        std::lock_guard<std::mutex> lock(csCtx->lock);
+        group_id = csCtx->keyIds
+                       .emplace(std::move(group),
+                                static_cast<std::uint32_t>(
+                                    csCtx->keyIds.size()))
+                       .first->second;
+    }
     bool first_restore = true;
     std::set<std::uint32_t> touched;
     for (std::size_t ci = 1; ci < en.masks.size(); ci++) {
@@ -856,10 +748,9 @@ Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
             // Structurally identical candidates execute once per
             // campaign: recovery is a function of the crash image,
             // which this key determines up to batching equivalence.
-            std::string key =
-                group + '|' + strprintf("%zu:", k) + mask.toHex();
             std::lock_guard<std::mutex> lock(csCtx->lock);
-            auto [it, fresh] = csCtx->seen.emplace(key, fp);
+            auto [it, fresh] =
+                csCtx->seen.emplace(std::tuple(group_id, k, mask), fp);
             if (!fresh) {
                 stats.crashStatesPruned++;
                 stats.crashPruned.push_back(
@@ -873,19 +764,14 @@ Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
         // Materialize: durable image + masked frontier events. The
         // pool holds the previous run's aftermath; restore only what
         // can differ from durable — the pool's own dirt plus, before
-        // the first candidate, the pages of in-flight cells (the only
+        // the first candidate, the pages of undecided cells (the only
         // places the anchor image diverges from durable).
         if (!deltaStore) {
             pm::restoreFull(cur.durable, exec_pool, stats.restore);
         } else {
             std::set<std::uint32_t> pages;
-            if (first_restore) {
-                for (const auto &[idx, c] : cs.cells) {
-                    if (!c.tail.empty())
-                        pages.insert(
-                            deltaStore->pageOf(cs.cellAddr(idx)));
-                }
-            }
+            if (first_restore)
+                pages.swap(undecided_pages);
             exec_pool.drainDirtyPages(pages);
             pm::restorePages(cur.durable, exec_pool,
                              deltaStore->pageSize(), pages,
@@ -904,24 +790,16 @@ Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
             const auto &e = pre[frontier_ev[b].seq];
             if (e.size == 0 || e.data.empty())
                 continue;
-            std::uint64_t first = cs.cellIndex(e.addr);
-            std::uint64_t n = cs.cellCount(e.addr, e.size);
-            for (std::uint64_t c = 0; c < n; c++) {
-                std::uint64_t idx = first + c;
-                auto it = cs.cells.find(idx);
-                if (it == cs.cells.end())
-                    continue;
-                const auto &tail = it->second.tail;
-                if (std::find(tail.begin(), tail.end(), e.seq) ==
-                    tail.end()) {
+            Addr end = e.addr + e.size;
+            for (Addr cell = e.addr / gran * gran; cell < end;
+                 cell += gran) {
+                const lint::FrontierCell *c = cells.cellAt(cell);
+                if (!c || std::find(c->tail.begin(), c->tail.end(),
+                                    e.seq) == c->tail.end()) {
                     continue;
                 }
-                Addr lo = std::max(cs.cellAddr(idx), e.addr);
-                Addr hi =
-                    std::min(cs.cellAddr(idx) + cs.gran,
-                             static_cast<Addr>(e.addr + e.size));
-                if (lo >= hi)
-                    continue;
+                Addr lo = std::max(cell, e.addr);
+                Addr hi = std::min(cell + gran, end);
                 std::size_t len = hi - lo;
                 std::memcpy(exec_pool.data() +
                                 (lo - exec_pool.base()),
@@ -933,22 +811,17 @@ Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
         stats.backendSeconds += restore_s;
         stats.phases.note(obs::Phase::Restore, restore_s);
 
-        // A candidate that drops a commit-variable write shows
+    // A candidate that drops a commit-variable write shows
         // recovery the previous committed epoch: commit-window
         // (condition (3)) verdicts on it describe a legitimate older
         // state, not a bug.
         bool dropped_commit = false;
         for (std::size_t b = 0; b < k && !dropped_commit; b++) {
-            if (mask.test(b))
-                continue;
-            AddrRange ev{frontier_ev[b].addr,
-                         frontier_ev[b].addr + frontier_ev[b].size};
-            for (const auto &cv : cs.commitVars) {
-                if (cv.overlaps(ev)) {
-                    dropped_commit = true;
-                    break;
-                }
-            }
+            dropped_commit =
+                !mask.test(b) &&
+                cells.overlapsCommitVar(
+                    {frontier_ev[b].addr,
+                     frontier_ev[b].addr + frontier_ev[b].size});
         }
         runCandidate(cur, exec_pool, pre, post, fp, frontier, mask,
                      dropped_commit, local, stats, wobs);
@@ -1149,7 +1022,8 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
         (cfg.crashStatesOn() || cfg.durableTier()) && !cfg.eadrOn();
     std::deque<PreCursor> cursors;
     for (unsigned t = 0; t < threads; t++)
-        cursors.emplace_back(pool.range(), cfg, initial, cells);
+        cursors.emplace_back(pool.range(), cfg, initial, cells,
+                             deltaStore);
 
     // Per-worker observability sinks, merged deterministically
     // (worker order) into the observer after the join.

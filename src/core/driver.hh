@@ -48,6 +48,11 @@
 #include "pm/pool.hh"
 #include "trace/runtime.hh"
 
+namespace xfd::lint
+{
+class FrontierState;
+} // namespace xfd::lint
+
 namespace xfd::core
 {
 
@@ -245,11 +250,14 @@ class Driver
         /**
          * @p initial is the shared campaign-start snapshot; both
          * images fork it (O(pages) pointer copies — pages physically
-         * split only as writes land). @p cells enables the cell
-         * model and its durable image (see cs).
+         * split only as writes land). @p cellModel enables the cell
+         * model and its durable image (see cells); @p delta, when
+         * set, is the campaign's write-log index, whose pages
+         * durablePages counts in.
          */
         PreCursor(AddrRange range, const DetectorConfig &cfg,
-                  const pm::CowImage &initial, bool cells);
+                  const pm::CowImage &initial, bool cellModel,
+                  const pm::ImageDeltaStore *delta = nullptr);
         ~PreCursor();
 
         ShadowPM shadow;
@@ -257,7 +265,7 @@ class Driver
         pm::CowImage image;
         /**
          * Persisted-only image: the cell model's all-zero mask,
-         * maintained only alongside the cell model (see cs).
+         * maintained only alongside the cell model (see cells).
          */
         pm::CowImage durable;
         std::uint32_t shadowCursor = 0;
@@ -303,14 +311,16 @@ class Driver
         /** @} */
 
         /**
-         * Crash-state tier state (--crash-states): a cell-granular
-         * mirror of the oracle's persistency model so the driver's
-         * frontiers, candidate masks and candidate images agree with
-         * the oracle's byte for byte. Null for anchor campaigns and
+         * Cell model of the crash-state tiers (--crash-states and the
+         * durable tier), advanced with the working image: its cell
+         * tails give the write frontiers, prefix chains and
+         * candidate images, which agree with the crash-state
+         * oracle's byte for byte, and its signature is the
+         * equivalence key of a failure point. Each cell it decides
+         * is copied into durable. Null for anchor campaigns and
          * under eADR.
          */
-        struct CsState;
-        std::unique_ptr<CsState> cs;
+        std::unique_ptr<lint::FrontierState> cells;
     };
 
     /**

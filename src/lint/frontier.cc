@@ -268,7 +268,13 @@ FrontierState::applyWrite(const trace::TraceEntry &e)
         touch(first + i, c);
         if (!same)
             rekey(first + i, c);
-        if (non_temporal && !eadr)
+        if (eadr) {
+            if (decided)
+                decided((first + i) * gran);
+            continue;
+        }
+        c.tail.push_back(e.seq);
+        if (non_temporal)
             pendingCells.push_back(first + i);
     }
     for (const auto &[var, from] : moved)
@@ -338,6 +344,9 @@ FrontierState::applyFence()
             it->second.st == CellState::WritebackPending) {
             it->second.st = CellState::Persisted;
             rekey(idx, it->second);
+            if (decided)
+                decided(idx * gran);
+            it->second.tail.clear();
         }
     }
     pendingCells.clear();
@@ -372,8 +381,12 @@ FrontierState::applyFree(const trace::TraceEntry &e)
     std::uint64_t count = cellCount(e.addr, e.size);
     for (std::uint64_t i = 0; i < count; i++) {
         auto it = cells.find(first + i);
-        if (it != cells.end())
-            eraseCell(it);
+        if (it == cells.end())
+            continue;
+        // A freed cell leaves the frontier at its last written value.
+        if (decided && !it->second.tail.empty())
+            decided((first + i) * gran);
+        eraseCell(it);
     }
     auto al = allocs.find(e.addr);
     if (al != allocs.end()) {
@@ -517,6 +530,23 @@ FrontierState::isCommitVarAddr(Addr a) const
     return false;
 }
 
+bool
+FrontierState::overlapsCommitVar(AddrRange r) const
+{
+    for (const auto &cv : commitVars) {
+        if (cv.var.overlaps(r))
+            return true;
+    }
+    return false;
+}
+
+const FrontierCell *
+FrontierState::cellAt(Addr a) const
+{
+    auto it = cells.find(cellIndex(a));
+    return it == cells.end() ? nullptr : &it->second;
+}
+
 const FrontierState::CommitVar *
 FrontierState::coveringVar(Addr a) const
 {
@@ -631,6 +661,16 @@ FrontierState::forEachInFlight(
 {
     for (const auto &[idx, c] : cells) {
         if (c.st != CellState::Persisted)
+            fn(idx * gran, c);
+    }
+}
+
+void
+FrontierState::forEachUndecided(
+    const std::function<void(Addr, const FrontierCell &)> &fn) const
+{
+    for (const auto &[idx, c] : cells) {
+        if (!c.tail.empty())
             fn(idx * gran, c);
     }
 }

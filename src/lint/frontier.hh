@@ -10,7 +10,11 @@
  * timestamp, and the uninitialized flag; plus the commit-variable
  * registry with last / pre-last commit timestamps. Rules query the
  * state *before* an entry applies; the prune pass compares frontier
- * signatures at each planned failure point the same way.
+ * signatures at each planned failure point the same way. Each cell
+ * also keeps its tail, the writes not yet guaranteed durable: the
+ * crash-state tiers build their write frontiers, prefix chains and
+ * durable image from it (see onDecided()), the same per-cell model
+ * the crash-state oracle replays independently.
  *
  * The signature is kept incrementally: each cell carries the interned
  * key it contributes (if any), and a live count per key changes only
@@ -62,6 +66,12 @@ struct FrontierCell
     std::uint32_t key = 0;
     /** In flight and outside every commit variable (dataInFlight). */
     bool inflightData = false;
+    /**
+     * Seqs of the writes applied since the cell last retired,
+     * ascending: empty iff the cell's bytes are decided at a crash.
+     * A partial crash image may hold any prefix of it.
+     */
+    std::vector<std::uint32_t> tail;
 };
 
 /** The dataflow state machine. */
@@ -101,7 +111,33 @@ class FrontierState
     /** Is @p a inside a registered commit variable? */
     bool isCommitVarAddr(Addr a) const;
 
+    /** Does @p r overlap a registered commit variable? */
+    bool overlapsCommitVar(AddrRange r) const;
+
     /** @} */
+
+    /**
+     * Call @p fn with the address of each cell whose bytes become
+     * decided: every cell a fence retires, every freed cell with a
+     * non-empty tail (its last written value stays), and under the
+     * flush-free semantics every written cell (durable on arrival).
+     * It runs before the cell's tail is cleared or the cell dropped.
+     */
+    void
+    onDecided(std::function<void(Addr)> fn)
+    {
+        decided = std::move(fn);
+    }
+
+    /** The tracked cell holding @p a, or null. */
+    const FrontierCell *cellAt(Addr a) const;
+
+    /**
+     * Visit every cell with a non-empty tail (bytes undecided at a
+     * crash), in address order.
+     */
+    void forEachUndecided(
+        const std::function<void(Addr, const FrontierCell &)> &fn) const;
 
     /**
      * Canonical frontier signature for failure-point pruning: the set
@@ -330,6 +366,8 @@ class FrontierState
     std::size_t dataCells = 0;
     /** Commit coverage changed for every cell since the last settle(). */
     bool coverStale = false;
+    /** See onDecided(). */
+    std::function<void(Addr)> decided;
 };
 
 /**

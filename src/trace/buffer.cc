@@ -15,7 +15,6 @@ TraceBuffer::append(TraceEntry e)
 void
 TraceBuffer::appendBatch(TraceEntry *batch, std::size_t n)
 {
-    entries.reserve(entries.size() + n);
     for (std::size_t i = 0; i < n; i++) {
         TraceEntry &e = batch[i];
         e.seq = static_cast<std::uint32_t>(entries.size());

@@ -28,12 +28,16 @@ class TraceBuffer
     /**
      * Bulk-append @p n entries from @p batch (moved from), assigning
      * contiguous sequence numbers: the retire half of PmRuntime's
-     * fixed-slot emit ring — one reservation and one call per ring
-     * instead of per entry.
+     * fixed-slot emit ring — one call per ring instead of per entry.
+     * Storage grows geometrically, so appending a trace of n entries
+     * copies O(n) entries in total, whatever the batch size.
      */
     void appendBatch(TraceEntry *batch, std::size_t n);
 
     std::size_t size() const { return entries.size(); }
+
+    /** Entries the buffer holds room for without reallocating. */
+    std::size_t capacity() const { return entries.capacity(); }
     bool empty() const { return entries.empty(); }
 
     const TraceEntry &operator[](std::size_t i) const { return entries[i]; }

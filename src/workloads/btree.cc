@@ -60,7 +60,7 @@ class Impl
             return;
         }
 
-        if (rt.load(resolve(root_p)->n) == maxKeys) {
+        if (keyCount(resolve(root_p)) == maxKeys) {
             // Preemptive root split.
             pm::PPtr<Node> newroot_p =
                 allocNode(tx, bug("btree.race.newroot_no_init"));
@@ -79,7 +79,7 @@ class Impl
         pm::PPtr<Node> cur_p = root_p;
         for (;;) {
             Node *cur = resolve(cur_p);
-            std::uint64_t n = rt.load(cur->n);
+            std::uint64_t n = keyCount(cur);
             unsigned idx = 0;
             bool found = false;
             for (; idx < n; idx++) {
@@ -125,7 +125,7 @@ class Impl
                 return;
             }
             pm::PPtr<Node> ch_p = rt.load(cur->child[idx]);
-            if (rt.load(resolve(ch_p)->n) == maxKeys) {
+            if (keyCount(resolve(ch_p)) == maxKeys) {
                 splitChild(tx, cur_p, idx);
                 continue; // re-examine this level
             }
@@ -144,7 +144,7 @@ class Impl
         bool found = false;
         while (!cur_p.null()) {
             cur = resolve(cur_p);
-            std::uint64_t n = rt.load(cur->n);
+            std::uint64_t n = keyCount(cur);
             found = false;
             for (idx = 0; idx < n; idx++) {
                 std::uint64_t ki = rt.load(cur->keys[idx]);
@@ -164,7 +164,7 @@ class Impl
         if (!found && !cur_p.null()) {
             // Possibly in the final leaf.
             cur = resolve(cur_p);
-            std::uint64_t n = rt.load(cur->n);
+            std::uint64_t n = keyCount(cur);
             for (idx = 0; idx < n; idx++) {
                 if (rt.load(cur->keys[idx]) == k) {
                     found = true;
@@ -184,10 +184,10 @@ class Impl
             pm::PPtr<Node> p_p = rt.load(cur->child[idx]);
             Node *pl = resolve(p_p);
             while (!rt.load(pl->child[0]).null()) {
-                p_p = rt.load(pl->child[rt.load(pl->n)]);
+                p_p = rt.load(pl->child[keyCount(pl)]);
                 pl = resolve(p_p);
             }
-            std::uint64_t pn = rt.load(pl->n);
+            std::uint64_t pn = keyCount(pl);
             if (!bug("btree.race.remove_no_add"))
                 tx.addRange(cur, sizeof(Node));
             rt.store(cur->keys[idx], rt.load(pl->keys[pn - 1]));
@@ -212,7 +212,7 @@ class Impl
         pm::PPtr<Node> cur_p = rt.load(r->root);
         while (!cur_p.null()) {
             Node *cur = resolve(cur_p);
-            std::uint64_t n = rt.load(cur->n);
+            std::uint64_t n = keyCount(cur);
             unsigned idx = 0;
             for (; idx < n; idx++) {
                 std::uint64_t ki = rt.load(cur->keys[idx]);
@@ -252,7 +252,7 @@ class Impl
         if (p.null())
             return;
         Node *n = resolve(p);
-        std::uint64_t cnt = rt.load(n->n);
+        std::uint64_t cnt = keyCount(n);
         for (unsigned i = 0; i < cnt; i++) {
             (void)rt.load(n->keys[i]);
             (void)rt.load(n->vals[i]);
@@ -303,7 +303,7 @@ class Impl
         rt.store(sib->n, std::uint64_t{1});
 
         // Median rises into the parent.
-        std::uint64_t parent_n = rt.load(parent->n);
+        std::uint64_t parent_n = keyCount(parent);
         for (unsigned j = static_cast<unsigned>(parent_n); j > idx; j--) {
             rt.store(parent->keys[j], rt.load(parent->keys[j - 1]));
             rt.store(parent->vals[j], rt.load(parent->vals[j - 1]));
@@ -321,7 +321,7 @@ class Impl
     {
         if (!bug(flag))
             tx.addRange(leaf, sizeof(Node));
-        std::uint64_t n = rt.load(leaf->n);
+        std::uint64_t n = keyCount(leaf);
         for (unsigned j = idx; j + 1 < n; j++) {
             rt.store(leaf->keys[j], rt.load(leaf->keys[j + 1]));
             rt.store(leaf->vals[j], rt.load(leaf->vals[j + 1]));
@@ -337,6 +337,20 @@ class Impl
             tx.add(r->count);
         rt.store(r->count,
                  rt.load(r->count) + static_cast<std::uint64_t>(delta));
+    }
+
+    /**
+     * A node's key count, loaded at the caller's line. A count above
+     * maxKeys would index past keys[]/child[], so recovery on such an
+     * image aborts instead.
+     */
+    std::uint64_t
+    keyCount(const Node *node, trace::SrcLoc loc = trace::here())
+    {
+        std::uint64_t n = rt.load(node->n, loc);
+        if (n > maxKeys)
+            throw trace::PostFailureAbort{"btree: corrupt node count", loc};
+        return n;
     }
 
     trace::PmRuntime &rt;

@@ -15,9 +15,7 @@
 
 #include <cstdio>
 #include <exception>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -27,17 +25,7 @@ namespace
 {
 
 using xfdtest::Json;
-
-Json
-load(const char *path)
-{
-    std::ifstream in(path);
-    if (!in)
-        throw std::runtime_error(std::string("cannot read ") + path);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return xfdtest::parseJson(ss.str());
-}
+using xfdtest::loadJson;
 
 void
 require(bool ok, const std::string &what)
@@ -87,9 +75,9 @@ main(int argc, char **argv)
         return 2;
     }
     try {
-        checkStats(load(argv[1]));
-        checkTrace(load(argv[2]));
-        require(load(argv[3]).at("schema").str == "xfd-report-v1",
+        checkStats(loadJson(argv[1]));
+        checkTrace(loadJson(argv[2]));
+        require(loadJson(argv[3]).at("schema").str == "xfd-report-v1",
                 "report schema");
     } catch (const std::exception &e) {
         std::fprintf(stderr, "%s\n", e.what());

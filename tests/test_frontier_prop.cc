@@ -5,7 +5,9 @@
  * fences, allocations, frees (including overlapping and mis-sized
  * ones), commit variables, commit ranges and payload-elided writes,
  * the materialized signature equals one rebuilt from scratch by the
- * reference walk below, dataInFlight() equals a scan, and the prune
+ * reference walk below, dataInFlight() equals a scan, every cell's
+ * tail of undecided writes and the cells each entry decides (the
+ * crash-state tiers' inputs) match the reference's, and the prune
  * pass groups points exactly as equal reference signatures would.
  * Cases are seeded; XFD_FUZZ_SEED replays one.
  */
@@ -16,6 +18,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -54,8 +57,14 @@ class Reference
                 break;
             bool nt = e.op == Op::NtWrite;
             char to = eadr ? 'p' : nt ? 'w' : 'm';
-            for (std::uint64_t i : cellsOf(e.addr, e.size))
+            for (std::uint64_t i : cellsOf(e.addr, e.size)) {
                 cells[i] = Cell{to, e.loc, ts, false};
+                // Flush-free: durable on arrival, never undecided.
+                if (eadr)
+                    decided.push_back(i * gran);
+                else
+                    tails[i].push_back(e.seq);
+            }
             for (auto &cv : vars) {
                 if (cv.var.overlaps({e.addr, e.addr + e.size})) {
                     cv.pre = cv.last;
@@ -84,8 +93,11 @@ class Reference
           case Op::Sfence:
           case Op::Mfence:
             for (auto &[i, c] : cells) {
-                if (c.st == 'w')
+                if (c.st == 'w') {
                     c.st = 'p';
+                    decided.push_back(i * gran);
+                    tails.erase(i);
+                }
             }
             ts++;
             break;
@@ -96,8 +108,12 @@ class Reference
                 allocs[e.addr] = {e.addr + e.size, e.loc};
             break;
           case Op::Free:
-            for (std::uint64_t i : cellsOf(e.addr, e.size))
+            for (std::uint64_t i : cellsOf(e.addr, e.size)) {
+                if (tails.count(i))
+                    decided.push_back(i * gran);
+                tails.erase(i);
                 cells.erase(i);
+            }
             allocs.erase(e.addr);
             break;
           case Op::CommitVar: {
@@ -156,6 +172,28 @@ class Reference
             sig += strprintf("#%zu=%s:%c", i, vars[i].val.c_str(), st);
         }
         return sig;
+    }
+
+    /** Cells decided by the last apply(), ascending. */
+    std::vector<Addr>
+    takeDecided()
+    {
+        std::sort(decided.begin(), decided.end());
+        return std::exchange(decided, {});
+    }
+
+    /** Every tracked cell's tail (empty: decided), by address. */
+    std::map<Addr, std::vector<std::uint32_t>>
+    cellTails() const
+    {
+        std::map<Addr, std::vector<std::uint32_t>> out;
+        for (const auto &[i, c] : cells) {
+            auto it = tails.find(i);
+            out[i * gran] =
+                it == tails.end() ? std::vector<std::uint32_t>{}
+                                  : it->second;
+        }
+        return out;
     }
 
     bool
@@ -235,9 +273,31 @@ class Reference
     bool eadr;
     std::int32_t ts = 0;
     std::map<std::uint64_t, Cell> cells;
+    /** Non-empty tails only, by cell index. */
+    std::map<std::uint64_t, std::vector<std::uint32_t>> tails;
+    std::vector<Addr> decided;
     std::map<Addr, std::pair<Addr, trace::SrcLoc>> allocs;
     std::vector<Var> vars;
 };
+
+/**
+ * @p st's view of the cells @p ref tracks: each one's tail, plus
+ * every undecided cell forEachUndecided() visits.
+ */
+std::map<Addr, std::vector<std::uint32_t>>
+frontierTails(const lint::FrontierState &st,
+              const std::map<Addr, std::vector<std::uint32_t>> &ref)
+{
+    std::map<Addr, std::vector<std::uint32_t>> out;
+    for (const auto &[a, tail] : ref) {
+        if (const lint::FrontierCell *c = st.cellAt(a))
+            out[a] = c->tail;
+    }
+    st.forEachUndecided([&](Addr a, const lint::FrontierCell &c) {
+        out[a] = c.tail;
+    });
+    return out;
+}
 
 // Two pointers to one file name: interning must go by content.
 const char fileA1[] = "a.cc";
@@ -329,6 +389,8 @@ fuzzOne(std::uint64_t seed)
     // Failure points at every fence, grouped by reference signature
     // per ordering-point location, the first of a group kept.
     lint::FrontierState st(gran, flushFree);
+    std::vector<Addr> decided;
+    st.onDecided([&](Addr a) { decided.push_back(a); });
     Reference ref(gran, flushFree);
     std::vector<std::uint32_t> points;
     std::map<std::string, std::uint32_t> firstBySig;
@@ -347,6 +409,13 @@ fuzzOne(std::uint64_t seed)
         }
         st.apply(e);
         ref.apply(e);
+        std::sort(decided.begin(), decided.end());
+        ASSERT_EQ(std::exchange(decided, {}), ref.takeDecided())
+            << "cells decided by seq " << e.seq
+            << " XFD_FUZZ_SEED=" << seed;
+        auto tails = ref.cellTails();
+        ASSERT_EQ(frontierTails(st, tails), tails)
+            << "tails after seq " << e.seq << " XFD_FUZZ_SEED=" << seed;
     }
 
     lint::PruneVerdicts v =

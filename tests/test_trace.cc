@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "pm/pool.hh"
 #include "trace/runtime.hh"
 
@@ -241,6 +244,27 @@ TEST_F(TraceTest, PayloadBytesAccumulated)
     rt.store(*v, std::uint64_t{1});
     rt.store(*v, std::uint64_t{2});
     EXPECT_EQ(buf.payloadBytes(), 16u);
+}
+
+TEST(TraceBufferTest, BatchAppendGrowsGeometrically)
+{
+    // PmRuntime's emit ring retires 64 entries at a time. Growing the
+    // buffer to the exact size at each retire re-copies the whole
+    // trace every time, quadratic in its length: a post-failure stage
+    // that runs up to the entry cap then never finishes.
+    TraceBuffer buf;
+    std::vector<trace::TraceEntry> batch(64);
+    std::set<std::size_t> capacities;
+    for (int r = 0; r < 2048; r++) {
+        for (auto &e : batch)
+            e = trace::TraceEntry{};
+        buf.appendBatch(batch.data(), batch.size());
+        capacities.insert(buf.capacity());
+    }
+    ASSERT_EQ(buf.size(), 2048u * 64);
+    EXPECT_EQ(buf[buf.size() - 1].seq, buf.size() - 1);
+    // Geometric growth needs about log2(2048) distinct capacities.
+    EXPECT_LE(capacities.size(), 32u);
 }
 
 TEST_F(TraceTest, StageRecorded)

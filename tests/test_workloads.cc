@@ -158,6 +158,28 @@ TEST(MemcachedEviction, CapacityEnforced)
     EXPECT_EQ(w->verify(rt), "");
 }
 
+TEST(BTreeRecovery, CorruptNodeCountAbortsRecovery)
+{
+    // This draw's crash images hold a node count above maxKeys.
+    // Recovery once indexed keys[]/child[] by it until the
+    // post-failure trace cap tripped, which took minutes per point;
+    // it must abort at once as a recovery failure instead.
+    WorkloadConfig cfg;
+    cfg.initOps = 5;
+    cfg.testOps = 8;
+    cfg.postOps = 2;
+    cfg.seed = 330;
+    auto res = xfdtest::runWorkload("btree", cfg);
+    bool corrupt = false;
+    for (const auto &b : res.findings()) {
+        EXPECT_EQ(b.note.find("exceeded the trace limit"),
+                  std::string::npos);
+        corrupt = corrupt || (b.type == BugType::RecoveryFailure &&
+                              b.note == "btree: corrupt node count");
+    }
+    EXPECT_TRUE(corrupt);
+}
+
 TEST(HashmapTxRebuild, GrowsBuckets)
 {
     // 20 inserts cross the load factor threshold (8 buckets).

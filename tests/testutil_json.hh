@@ -2,7 +2,8 @@
  * @file
  * Minimal JSON document model + recursive-descent parser for tests —
  * enough to validate our exporters without external dependencies.
- * Shared by test_obs.cc and test_obs_live.cc.
+ * Shared by the obs, fix and oracle tests and the CLI export
+ * checkers (check_*.cc).
  */
 
 #ifndef XFD_TESTS_TESTUTIL_JSON_HH
@@ -11,6 +12,8 @@
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -220,6 +223,18 @@ inline Json
 parseJson(const std::string &text)
 {
     return JsonParser(text).parse();
+}
+
+/** Parse the JSON document in file @p path. */
+inline Json
+loadJson(const char *path)
+{
+    std::ifstream in(path);
+    if (!in)
+        throw std::runtime_error(std::string("cannot read ") + path);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return parseJson(ss.str());
 }
 
 } // namespace xfdtest
