@@ -4,8 +4,8 @@
  *
  * The paper's image copy keeps all updates (footnote 3) and relies on
  * the shadow PM to flag reads of unpersisted data. The durable
- * crash-states tier (--crash-states=durable, alias --crash-image)
- * instead materializes the image a real crash would leave when no
+ * crash-states tier (--crash-states=durable) instead materializes
+ * the image a real crash would leave when no
  * in-flight write persisted: the all-zero mask of the cell-granular
  * model the oracle and partial crash-state exploration share
  * (pmreorder/Yat-style). This bench compares the two on the micro

@@ -53,11 +53,13 @@ audit(bool shipped)
     core::CampaignObserver obsv;
     AuditHooks hooks;
     obsv.hooks = &hooks;
+    core::DetectorConfig dcfg;
+    dcfg.backend = "batched"; // fold signature-equivalent points
     return Campaign::forProgram(
                [&](trace::PmRuntime &rt) { redis->pre(rt); },
                [&](trace::PmRuntime &rt) { redis->post(rt); })
         .poolSize(1 << 22)
-        .backend("batched") // fold signature-equivalent points
+        .config(dcfg)
         .observer(&obsv)
         .run();
 }

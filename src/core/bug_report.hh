@@ -80,7 +80,7 @@ struct BugReport
      * actually contained — bit i of the mask corresponds to
      * frontierSeqs[i], the same identity the crash-state oracle uses
      * for candidate images. Under the paper's footnote-3 all-updates
-     * image the mask is all ones; under --crash-image it is all
+     * image the mask is all ones; under --crash-states=durable all
      * zeros (in-flight means exactly "absent from the durable
      * image"). Empty for findings that are not tied to a failure
      * point (performance bugs from the full-trace scan).

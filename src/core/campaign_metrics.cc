@@ -26,7 +26,7 @@ ratio(double num, double den)
     return den ? num / den : 0.0;
 }
 
-/** What the full-copy engine would have moved: one pool per restore. */
+/** What copying the whole pool per restore would have moved. */
 double
 fullCopyBaseline(const S &s)
 {

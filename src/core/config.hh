@@ -18,25 +18,6 @@ namespace xfd::core
 {
 
 /**
- * How the campaign backend restores and schedules failure points.
- * Parsed from DetectorConfig::backend ("full", "delta", "batched").
- */
-enum class BackendMode
-{
-    /** Full-image copy before every post-failure run (ablation). */
-    Full,
-    /** Page-granular delta restores, one run per failure point. */
-    Delta,
-    /**
-     * Delta restores plus frontier-signature batching: failure
-     * points whose lint signature proves them equivalent share one
-     * representative recovery run, and groups are pulled dynamically
-     * by the worker pool.
-     */
-    Batched,
-};
-
-/**
  * Persistency model the shadow PM (and everything downstream of it)
  * assumes of the hardware. Parsed from DetectorConfig::pmModel
  * ("clwb", "eadr").
@@ -109,23 +90,21 @@ struct DetectorConfig
     std::size_t maxFailurePoints = 0;
 
     /**
-     * Backend descriptor: how exec pools are restored and failure
-     * points scheduled. One of
+     * Backend descriptor: how failure points are scheduled. Exec
+     * pools are always restored by the page-granular delta engine
+     * (XFD_DELTA_VALIDATE=1 checks every restore against the full
+     * image). One of
      *
-     *  - "full":    full-image copy before every post-failure run
-     *               (the ablation baseline, ex --no-delta);
-     *  - "delta":   page-granular delta restores, one recovery run
-     *               per failure point (the former default);
-     *  - "batched": delta restores plus frontier-signature batching —
-     *               failure points the lint pass proves equivalent
-     *               (same ordering-point location, identical frontier
-     *               signature) fold into one representative run, and
-     *               the worker pool pulls groups dynamically
-     *               (subsumes the former --lint-prune switch).
+     *  - "delta":   one recovery run per failure point (the default);
+     *  - "batched": frontier-signature batching — failure points the
+     *               lint pass proves equivalent (same ordering-point
+     *               location, identical frontier signature) fold into
+     *               one representative run, and the worker pool pulls
+     *               groups dynamically.
      *
-     * Findings are byte-identical across all three modes; the
-     * equivalence suites (test_delta_image, test_batch_sched) and the
-     * oracle differential campaign enforce that.
+     * Findings are byte-identical across both modes; the equivalence
+     * suites (test_delta_image, test_batch_sched) and the oracle
+     * differential campaign enforce that.
      */
     std::string backend = "delta";
 
@@ -154,8 +133,8 @@ struct DetectorConfig
     std::size_t deltaPageSize = 4096;
 
     /**
-     * Full-image checkpoint cadence: after this many consecutive
-     * delta restores, resync with one full copy so error recovery and
+     * Resync checkpoint cadence: after this many consecutive
+     * delta restores, resync from scratch so error recovery and
      * drift stay bounded (0 = checkpoint only at chunk starts).
      */
     std::size_t deltaCheckpointInterval = 64;
@@ -217,11 +196,11 @@ struct DetectorConfig
      *    image — the classic single-candidate campaign;
      *  - "durable": instead of the anchor, only the image a real crash
      *    leaves when no in-flight write persisted (the all-zero mask
-     *    of the cell model; --crash-image is an alias). Commit-window
-     *    semantic verdicts are suppressed: they assume recovery
-     *    observes the latest commit write, which only the all-updates
-     *    image guarantees. Under eADR every store is durable on
-     *    arrival, so this image is the working image;
+     *    of the cell model). Commit-window semantic verdicts are
+     *    suppressed: they assume recovery observes the latest commit
+     *    write, which only the all-updates image guarantees. Under
+     *    eADR every store is durable on arrival, so this image is the
+     *    working image;
      *  - "sample:<n>": additionally up to <n> seeded-random legal
      *    persisted-subsets of the write frontier (per-cell prefix
      *    closure, same enumeration as the oracle);
@@ -303,49 +282,22 @@ struct DetectorConfig
                !liveJsonlPath.empty();
     }
 
-    /**
-     * Parse @p s as a backend descriptor. @return true and set
-     * @p mode on success, false on an unknown descriptor.
-     */
+    /** Whether @p s is a backend descriptor ("delta", "batched"). */
     static bool
-    parseBackend(const std::string &s, BackendMode &mode)
+    validBackend(const std::string &s)
     {
-        if (s == "full")
-            mode = BackendMode::Full;
-        else if (s == "delta" || s.empty())
-            mode = BackendMode::Delta;
-        else if (s == "batched")
-            mode = BackendMode::Batched;
-        else
-            return false;
-        return true;
+        return s.empty() || s == "delta" || s == "batched";
     }
 
     /**
-     * The parsed backend descriptor. An unknown string degrades to
-     * Delta here; the driver validates and reports it at campaign
-     * start.
+     * Whether signature batching folds failure points (batched). Any
+     * other string runs the delta schedule; flag parsing rejects an
+     * unknown one before it can get this far.
      */
-    BackendMode
-    backendMode() const
-    {
-        BackendMode m = BackendMode::Delta;
-        parseBackend(backend, m);
-        return m;
-    }
-
-    /** Whether the delta-image engine is on (delta and batched). */
-    bool
-    deltaImagesOn() const
-    {
-        return backendMode() != BackendMode::Full;
-    }
-
-    /** Whether signature batching folds failure points (batched). */
     bool
     batchingOn() const
     {
-        return backendMode() == BackendMode::Batched;
+        return backend == "batched";
     }
 
     /**

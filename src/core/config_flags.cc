@@ -74,20 +74,6 @@ buildTable()
         d.impliedValue = implied;
         t.push_back(d);
     };
-    // Switch spelling that stores a fixed string into a canonical
-    // field's slot ("--no-delta" == "--backend=full").
-    auto alias = [&](const char *flag, const char *help,
-                     std::string C::*field, const char *implied) {
-        ConfigFlagDesc d;
-        d.flag = flag;
-        d.arg = nullptr;
-        d.help = help;
-        d.jsonKey = "";
-        d.stringField = field;
-        d.impliedValue = implied;
-        d.alias = true;
-        t.push_back(d);
-    };
 
     sw("--no-elision",
        "disable empty-interval failure-point elision",
@@ -109,15 +95,12 @@ buildTable()
        "report_performance_bugs", &C::reportPerformanceBugs, false);
     sizef("--max-failpoints", "<n>", "cap injected failure points",
           "max_failure_points", &C::maxFailurePoints);
-    strf("--backend", "<full|delta|batched>",
-         "campaign backend: \"full\" copies the whole exec pool per "
-         "failure point, \"delta\" (default) restores only dirtied "
-         "pages, \"batched\" additionally folds failure points with "
+    strf("--backend", "<delta|batched>",
+         "campaign backend: \"delta\" (default) runs recovery once "
+         "per failure point, \"batched\" folds failure points with "
          "identical frontier signatures into one representative "
-         "recovery run",
+         "recovery run; both restore only dirtied pages",
          "backend", &C::backend, nullptr);
-    alias("--no-delta", "deprecated alias for --backend=full",
-          &C::backend, "full");
     strf("--pm-model", "<clwb|eadr>",
          "persistency model: \"clwb\" (default) requires explicit "
          "writeback + fence for durability, \"eadr\" is flush-free "
@@ -129,7 +112,7 @@ buildTable()
           "default 4096)",
           "delta_page_size", &C::deltaPageSize);
     sizef("--delta-checkpoint", "<n>",
-          "full-copy resync after <n> delta restores (0 = only at "
+          "resync from scratch after <n> delta restores (0 = only at "
           "chunk starts, default 64)",
           "delta_checkpoint_interval", &C::deltaCheckpointInterval);
     sw("--no-stats", "skip stat collection", "collect_stats",
@@ -168,11 +151,6 @@ buildTable()
          "write frontier, \"exhaustive\" on every legal subset "
          "within the --oracle-frontier bound",
          "crash_states", &C::crashStates, nullptr);
-    alias("--crash-image",
-          "alias for --crash-states=durable: recovery sees a realistic "
-          "crash image (unpersisted writes dropped) instead of the "
-          "paper's keep-everything copy",
-          &C::crashStates, "durable");
     sizef("--crash-seed", "<n>",
           "seed for the per-failure-point crash-state sampler "
           "(default 42)",
@@ -188,8 +166,6 @@ buildTable()
          "and machine-check it by re-running the campaign; <id> "
          "limits checking to one finding (\"F3\") or plan (\"R2\")",
          "fix_targets", &C::fixTargets, "all");
-    alias("--lint-prune", "deprecated alias for --backend=batched",
-          &C::backend, "batched");
     sw("--elide-same-value",
        "drop trace entries for stores that write back the bytes "
        "already in memory (Jaaru-style; cannot change any crash "
@@ -247,9 +223,8 @@ applyDetectorFlag(const ConfigFlagDesc &d, DetectorConfig &cfg,
         bool ok = true;
         const char *expected = nullptr;
         if (d.stringField == &DetectorConfig::backend) {
-            BackendMode m;
-            ok = DetectorConfig::parseBackend(value, m);
-            expected = "full, delta or batched";
+            ok = DetectorConfig::validBackend(value);
+            expected = "delta or batched";
         } else if (d.stringField == &DetectorConfig::pmModel) {
             PersistencyModel m;
             ok = DetectorConfig::parsePmModel(value, m);
@@ -297,8 +272,6 @@ writeConfigJson(const DetectorConfig &cfg, obs::JsonWriter &w)
 {
     w.beginObject();
     for (const auto &d : detectorFlagTable()) {
-        if (d.alias)
-            continue;
         if (d.boolField)
             w.field(d.jsonKey, cfg.*(d.boolField));
         else if (d.uintField)

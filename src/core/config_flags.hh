@@ -59,14 +59,6 @@ struct ConfigFlagDesc
      */
     const char *impliedValue = nullptr;
 
-    /**
-     * Alias row: parses like any other row (storing into the same
-     * field as its canonical spelling) but is skipped by the
-     * xfd-stats-v1 "config" echo so the canonical key appears exactly
-     * once. The removal schedule lives in DESIGN.md conventions.
-     */
-    bool alias = false;
-
     bool
     takesValue() const
     {

@@ -33,13 +33,35 @@ secondsSince(std::chrono::steady_clock::time_point t0)
     return duration<double>(steady_clock::now() - t0).count();
 }
 
+/**
+ * The restore reference (XFD_DELTA_VALIDATE=1): after a page restore
+ * the exec pool must equal @p src byte for byte (one full-image
+ * memcmp). A mismatch means a mutation path missed markDirty() or a
+ * page set missed a changed page.
+ */
+void
+validateRestore(const pm::CowImage &src, pm::PmPool &pool,
+                std::size_t pageSize, const char *what, std::uint32_t fp)
+{
+    static const bool validate =
+        std::getenv("XFD_DELTA_VALIDATE") != nullptr;
+    if (!validate)
+        return;
+    std::size_t off = src.firstMismatch(pool.data());
+    if (off != SIZE_MAX) {
+        panic("%s diverged at fp %u: pool offset %#zx (page %zu) "
+              "pool=%02x",
+              what, fp, off, off / pageSize, pool.data()[off]);
+    }
+}
+
 } // namespace
 
 Driver::PreCursor::PreCursor(AddrRange range,
                              const DetectorConfig &cfg,
                              const pm::CowImage &initial, bool cellModel,
-                             const pm::ImageDeltaStore *delta)
-    : shadow(range, cfg), image(initial)
+                             const pm::ImageDeltaStore &delta)
+    : shadow(range, cfg), image(initial), delta(delta)
 {
     if (!cellModel)
         return;
@@ -51,10 +73,9 @@ Driver::PreCursor::PreCursor(AddrRange range,
     // image (already past the entry) and partial candidates build on
     // them.
     unsigned gran = cfg.granularity;
-    cells->onDecided([this, gran, delta](Addr a) {
+    cells->onDecided([this, gran](Addr a) {
         durable.copyFrom(image, a, gran);
-        if (delta)
-            durablePages.insert(delta->pageOf(a));
+        durablePages.insert(this->delta.pageOf(a));
     });
 }
 
@@ -285,14 +306,10 @@ Driver::advanceImage(PreCursor &cur, const trace::TraceBuffer &pre,
                 // so it is never part of any frontier.
                 cur.durable.applyWrite(e.addr, e.data.data(),
                                        e.data.size());
-                if (deltaStore) {
-                    Addr end = e.addr + e.data.size() - 1;
-                    std::size_t ps = deltaStore->pageSize();
-                    for (Addr a = e.addr; a <= end;
-                         a = (a / ps + 1) * ps) {
-                        cur.durablePages.insert(deltaStore->pageOf(a));
-                    }
-                }
+                Addr end = e.addr + e.data.size() - 1;
+                std::size_t ps = cur.delta.pageSize();
+                for (Addr a = e.addr; a <= end; a = (a / ps + 1) * ps)
+                    cur.durablePages.insert(cur.delta.pageOf(a));
             }
         }
         // The cell model sees the entry after the working image does:
@@ -449,18 +466,16 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
         bool checkpoint_due =
             cfg.deltaCheckpointInterval != 0 &&
             cur.sinceCheckpoint >= cfg.deltaCheckpointInterval;
-        if (!deltaStore) {
-            pm::restoreFull(src, exec_pool, stats.restore);
-        } else if (!cur.execSynced || checkpoint_due) {
+        if (!cur.execSynced || checkpoint_due) {
             // Chunk start or checkpoint cadence: resync from scratch.
             // A fresh pool is all zeros and any working image can
             // differ from zero only where the write log landed or the
             // initial snapshot was nonzero (chunkSyncPages), so
             // restoring that set plus the exec pool's own dirt is
-            // byte-equivalent to the old full O(pool) copy.
+            // byte-equivalent to a full O(pool) copy.
             std::set<std::uint32_t> pages = *chunkSyncPages;
             exec_pool.drainDirtyPages(pages);
-            pm::restorePages(src, exec_pool, deltaStore->pageSize(),
+            pm::restorePages(src, exec_pool, cur.delta.pageSize(),
                              pages, stats.restore);
             stats.restore.syncRestores++;
             cur.durablePages.clear();
@@ -475,30 +490,15 @@ Driver::handleFailurePoint(PreCursor &cur, pm::PmPool &exec_pool,
             if (from_durable)
                 pages.swap(cur.durablePages);
             else
-                deltaStore->collectPages(cur.lastRestoredSeq, fp,
-                                         pages);
+                cur.delta.collectPages(cur.lastRestoredSeq, fp, pages);
             exec_pool.drainDirtyPages(pages);
-            pm::restorePages(src, exec_pool, deltaStore->pageSize(),
+            pm::restorePages(src, exec_pool, cur.delta.pageSize(),
                              pages, stats.restore);
             cur.sinceCheckpoint++;
         }
         cur.lastRestoredSeq = fp;
-        // Paranoia mode (XFD_DELTA_VALIDATE=1): after any restore the
-        // exec pool must equal the source image byte-for-byte; a
-        // mismatch means a mutation path missed markDirty() or the
-        // write-log index missed a write. The equivalence suite runs
-        // its campaigns under this check.
-        static const bool validate =
-            std::getenv("XFD_DELTA_VALIDATE") != nullptr;
-        if (validate) {
-            std::size_t off = src.firstMismatch(exec_pool.data());
-            if (off != SIZE_MAX) {
-                panic("delta restore diverged at fp %u: pool offset "
-                      "%#zx (page %zu) pool=%02x",
-                      fp, off, off / cfg.deltaPageSize,
-                      exec_pool.data()[off]);
-            }
-        }
+        validateRestore(src, exec_pool, cur.delta.pageSize(),
+                        "delta restore", fp);
     }
     // The phase entry reuses the exact interval that feeds
     // backendSeconds, so restore + classify attribute the backend
@@ -699,8 +699,7 @@ Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
         for (std::uint32_t s : c.tail)
             chain.push_back(bitOf.at(s));
         chains.push_back(std::move(chain));
-        if (deltaStore)
-            undecided_pages.insert(deltaStore->pageOf(a));
+        undecided_pages.insert(cur.delta.pageOf(a));
     });
     trace::CandidateSet cset(std::move(events), std::move(chains));
     const auto &frontier_ev = cset.frontier();
@@ -708,7 +707,7 @@ Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
     // Candidate equivalence class: ordering-point source location +
     // lint frontier signature — the identity --backend=batched folds
     // failure points by. It keys both the sampler stream (equivalent
-    // points sample identical mask sequences, keeping full, delta and
+    // points sample identical mask sequences, keeping delta and
     // batched schedules fingerprint-identical) and the campaign-global
     // pruning set.
     std::string group = lint::equivalenceKey(pre[fp].loc, cells);
@@ -766,19 +765,16 @@ Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
         // can differ from durable — the pool's own dirt plus, before
         // the first candidate, the pages of undecided cells (the only
         // places the anchor image diverges from durable).
-        if (!deltaStore) {
-            pm::restoreFull(cur.durable, exec_pool, stats.restore);
-        } else {
-            std::set<std::uint32_t> pages;
-            if (first_restore)
-                pages.swap(undecided_pages);
-            exec_pool.drainDirtyPages(pages);
-            pm::restorePages(cur.durable, exec_pool,
-                             deltaStore->pageSize(), pages,
-                             stats.restore);
-            touched.insert(pages.begin(), pages.end());
-        }
+        std::set<std::uint32_t> pages;
+        if (first_restore)
+            pages.swap(undecided_pages);
         first_restore = false;
+        exec_pool.drainDirtyPages(pages);
+        pm::restorePages(cur.durable, exec_pool, cur.delta.pageSize(),
+                         pages, stats.restore);
+        touched.insert(pages.begin(), pages.end());
+        validateRestore(cur.durable, exec_pool, cur.delta.pageSize(),
+                        "crash-state candidate restore", fp);
 
         // Apply the persisted subset in ascending seq order; only
         // cells still carrying the event are undecided (mirrors the
@@ -811,7 +807,7 @@ Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
         stats.backendSeconds += restore_s;
         stats.phases.note(obs::Phase::Restore, restore_s);
 
-    // A candidate that drops a commit-variable write shows
+        // A candidate that drops a commit-variable write shows
         // recovery the previous committed epoch: commit-window
         // (condition (3)) verdicts on it describe a legitimate older
         // state, not a bug.
@@ -831,14 +827,10 @@ Driver::exploreCrashStates(PreCursor &cur, pm::PmPool &exec_pool,
     // Pages restored toward durable hold stale bytes relative to the
     // working image; re-dirty them so the next anchor restore
     // re-copies them (XFD_DELTA_VALIDATE holds across the mix).
-    if (deltaStore) {
-        std::size_t ps = deltaStore->pageSize();
-        for (std::uint32_t page : touched) {
-            exec_pool.markDirty(exec_pool.base() +
-                                    static_cast<Addr>(page) * ps,
-                                ps);
-        }
-    }
+    std::size_t ps = cur.delta.pageSize();
+    for (std::uint32_t page : touched)
+        exec_pool.markDirty(exec_pool.base() + static_cast<Addr>(page) * ps,
+                            ps);
 }
 
 CampaignResult
@@ -980,20 +972,19 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
     // restore that set instead of the whole pool.
     pm::ImageDeltaStore delta_store;
     std::set<std::uint32_t> base_sync_pages;
-    if (cfg.deltaImagesOn()) {
+    {
         obs::SpanScope span(tl, "index-write-log", "phase", 0);
         auto t0 = std::chrono::steady_clock::now();
         delta_store = trace::buildDeltaStore(
             pre_trace, cfg.deltaPageSize, pool.range());
-        deltaStore = &delta_store;
         delta_store.collectPages(
             0, static_cast<std::uint32_t>(pre_trace.size()),
             base_sync_pages);
         initial.collectNonZeroPages(cfg.deltaPageSize,
                                     base_sync_pages);
-        chunkSyncPages = &base_sync_pages;
         totals.phases.note(obs::Phase::IndexWriteLog, secondsSince(t0));
     }
+    chunkSyncPages = &base_sync_pages;
 
     std::uint32_t trace_end =
         static_cast<std::uint32_t>(pre_trace.size());
@@ -1023,7 +1014,7 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
     std::deque<PreCursor> cursors;
     for (unsigned t = 0; t < threads; t++)
         cursors.emplace_back(pool.range(), cfg, initial, cells,
-                             deltaStore);
+                             delta_store);
 
     // Per-worker observability sinks, merged deterministically
     // (worker order) into the observer after the join.
@@ -1060,8 +1051,7 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
                                                  pool.base());
             exec_pool = local.get();
         }
-        if (deltaStore)
-            exec_pool->enableDirtyTracking(cfg.deltaPageSize);
+        exec_pool->enableDirtyTracking(cfg.deltaPageSize);
         WorkerObs wobs{tl, tracks[t], &post_latency[t], &post_ops[t],
                        live};
         // All workers start pulling together — otherwise the first
@@ -1146,7 +1136,6 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
         merged.merge(s);
     for (unsigned t = 0; t < threads; t++)
         mergeWorkerStats(totals, stats[t], threads == 1);
-    deltaStore = nullptr;
     chunkSyncPages = nullptr;
     csCtx = nullptr;
     if (threads > 1) {
@@ -1164,7 +1153,7 @@ Driver::runParallel(const ProgramFn &pre, const ProgramFn &post,
     {
         obs::SpanScope span(tl, "perf-scan", "phase", 0);
         // Only the shadow and the working image matter here.
-        PreCursor full(pool.range(), cfg, initial, false);
+        PreCursor full(pool.range(), cfg, initial, false, delta_store);
         auto tb = std::chrono::steady_clock::now();
         advanceShadow(full, pre_trace, trace_end, &merged);
         advanceImage(full, pre_trace, trace_end);

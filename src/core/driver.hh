@@ -111,7 +111,7 @@ struct CampaignStats
     std::size_t checksSkipped = 0;
     /** Worker threads used (1 = serial). */
     unsigned threads = 1;
-    /** Exec-pool restore volume (delta engine or full copies). */
+    /** Exec-pool restore volume of the delta engine. */
     pm::DeltaRestoreStats restore;
     /** Pool capacity in bytes (baseline for restore-volume ratios). */
     std::size_t poolBytes = 0;
@@ -251,13 +251,12 @@ class Driver
          * @p initial is the shared campaign-start snapshot; both
          * images fork it (O(pages) pointer copies — pages physically
          * split only as writes land). @p cellModel enables the cell
-         * model and its durable image (see cells); @p delta, when
-         * set, is the campaign's write-log index, whose pages
-         * durablePages counts in.
+         * model and its durable image (see cells); @p delta is the
+         * campaign's write-log index, which must outlive the cursor.
          */
         PreCursor(AddrRange range, const DetectorConfig &cfg,
                   const pm::CowImage &initial, bool cellModel,
-                  const pm::ImageDeltaStore *delta = nullptr);
+                  const pm::ImageDeltaStore &delta);
         ~PreCursor();
 
         ShadowPM shadow;
@@ -291,15 +290,16 @@ class Driver
         /** @} */
 
         /**
-         * @name Delta-restore state (meaningful only when the driver
-         * runs with an ImageDeltaStore attached)
+         * @name Delta-restore state
          * @{
          */
-        /** Exec pool has been synced with a full copy at least once. */
+        /** The campaign's write-log page index (shared read-only). */
+        const pm::ImageDeltaStore &delta;
+        /** Exec pool has been synced from scratch at least once. */
         bool execSynced = false;
         /** Failure point the exec pool was last restored to. */
         std::uint32_t lastRestoredSeq = 0;
-        /** Delta restores since the last full checkpoint. */
+        /** Delta restores since the last resync checkpoint. */
         std::size_t sinceCheckpoint = 0;
         /**
          * Pages of the durable image changed since the last restore
@@ -426,18 +426,12 @@ class Driver
     DetectorConfig cfg;
     CampaignObserver *observer = nullptr;
     /**
-     * Write-log page index for the campaign in flight; null disables
-     * delta restores (handleFailurePoint falls back to full copies).
-     * Set by runParallel() for the delta and batched backends,
-     * cleared before it returns.
-     */
-    const pm::ImageDeltaStore *deltaStore = nullptr;
-    /**
      * Pages where any working image can differ from a fresh zeroed
      * pool: the full write-log page set united with the initial
      * snapshot's nonzero pages. Chunk starts and checkpoint resyncs
      * restore this set (plus exec-pool dirt) instead of copying the
-     * whole pool. Valid exactly while deltaStore is.
+     * whole pool. Set by runParallel() while a campaign is in
+     * flight, cleared before it returns.
      */
     const std::set<std::uint32_t> *chunkSyncPages = nullptr;
 

@@ -3,7 +3,7 @@
  * Copy-on-write PM image with refcounted pages.
  *
  * The campaign loop materializes one working image per worker (plus a
- * durable image in crash-image mode), all seeded from the same
+ * durable image under the crash-state tiers), all seeded from the same
  * initial pool snapshot. With contiguous PmImage buffers that seeding
  * costs one O(pool) memcpy per cursor; a CowImage instead shares its
  * fixed-size pages by shared_ptr, so forking an image is O(pages)

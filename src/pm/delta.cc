@@ -118,12 +118,4 @@ restorePages(const CowImage &src, PmPool &pool, std::size_t pageSize,
     }
 }
 
-void
-restoreFull(const CowImage &src, PmPool &pool, DeltaRestoreStats &stats)
-{
-    src.copyTo(pool);
-    stats.fullCopies++;
-    stats.bytesFullCopy += src.size();
-}
-
 } // namespace xfd::pm

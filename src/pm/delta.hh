@@ -37,7 +37,7 @@ class PmPool;
 /** Restore-volume accounting for one campaign (or worker chunk). */
 struct DeltaRestoreStats
 {
-    /** Full-image checkpoint copies (chunk starts, cadence, errors). */
+    /** Full-image copies (restoreFull; the campaign driver makes none). */
     std::uint64_t fullCopies = 0;
     /** Page-granular partial restores. */
     std::uint64_t deltaRestores = 0;
@@ -132,14 +132,11 @@ void restorePages(const PmImage &src, PmPool &pool,
 void restoreFull(const PmImage &src, PmPool &pool,
                  DeltaRestoreStats &stats);
 
-/** @name CowImage sources (the campaign driver's working images) @{ */
+/** restorePages() from the campaign driver's working images. */
 void restorePages(const CowImage &src, PmPool &pool,
                   std::size_t pageSize,
                   const std::set<std::uint32_t> &pages,
                   DeltaRestoreStats &stats);
-void restoreFull(const CowImage &src, PmPool &pool,
-                 DeltaRestoreStats &stats);
-/** @} */
 
 } // namespace xfd::pm
 

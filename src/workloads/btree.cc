@@ -188,8 +188,8 @@ class Impl
                 pl = resolve(p_p);
             }
             std::uint64_t pn = keyCount(pl);
-            if (!bug("btree.race.remove_no_add"))
-                tx.addRange(cur, sizeof(Node));
+            if (pn == 0) return removeAboveEmptyLeaf(tx, cur, idx);
+            if (!bug("btree.race.remove_no_add")) tx.addRange(cur, sizeof(Node));
             rt.store(cur->keys[idx], rt.load(pl->keys[pn - 1]));
             rt.store(cur->vals[idx], rt.load(pl->vals[pn - 1]));
             tx.addRange(pl, sizeof(Node));
@@ -351,6 +351,57 @@ class Impl
         if (n > maxKeys)
             throw trace::PostFailureAbort{"btree: corrupt node count", loc};
         return n;
+    }
+
+    /**
+     * remove() of key @p idx of internal node @p x whose predecessor
+     * leaf ran dry (removals never rebalance). The predecessor is then
+     * the last key of the internal node q above that leaf: it moves up
+     * and q drops it with the leaf. If the leaf is x's own child, x
+     * drops the key with it. A node left keyless takes over its one
+     * child. Placed last so that no other traced line moves.
+     */
+    void
+    removeAboveEmptyLeaf(pmlib::Tx &tx, Node *x, unsigned idx)
+    {
+        if (!bug("btree.race.remove_no_add"))
+            tx.addRange(x, sizeof(Node));
+        Node *q = x;
+        Node *leaf = resolve(rt.load(x->child[idx]));
+        while (!rt.load(leaf->child[0]).null()) {
+            q = leaf;
+            leaf = resolve(rt.load(q->child[keyCount(q)]));
+        }
+        std::uint64_t qn = keyCount(q);
+        if (q == x) {
+            for (unsigned j = idx; j + 1 < qn; j++) {
+                rt.store(x->keys[j], rt.load(x->keys[j + 1]));
+                rt.store(x->vals[j], rt.load(x->vals[j + 1]));
+            }
+            for (unsigned j = idx; j < qn; j++)
+                rt.store(x->child[j], rt.load(x->child[j + 1]));
+        } else {
+            if (qn == 0)
+                throw trace::PostFailureAbort{"btree: corrupt node count",
+                                              trace::here()};
+            tx.addRange(q, sizeof(Node));
+            rt.store(x->keys[idx], rt.load(q->keys[qn - 1]));
+            rt.store(x->vals[idx], rt.load(q->vals[qn - 1]));
+        }
+        if (qn > 1) {
+            rt.store(q->n, qn - 1);
+        } else {
+            Node *only = resolve(rt.load(q->child[0]));
+            rt.store(q->n, keyCount(only));
+            for (unsigned j = 0; j < maxKeys; j++) {
+                rt.store(q->keys[j], rt.load(only->keys[j]));
+                rt.store(q->vals[j], rt.load(only->vals[j]));
+            }
+            for (unsigned j = 0; j <= maxKeys; j++)
+                rt.store(q->child[j], rt.load(only->child[j]));
+        }
+        bumpCount(tx, -1, "btree.race.remove_count_no_add");
+        tx.commit();
     }
 
     trace::PmRuntime &rt;

@@ -126,7 +126,7 @@ class Impl
             rt.store(child->parent, vparent_p);
         }
         if (vparent_p.null()) {
-            setRoot(tx, child_p);
+            setBlackRoot(tx, child_p);
         } else {
             RbNode *vp = resolve(vparent_p);
             addNode(tx, vparent_p, "rbtree.race.remove_link_no_add");
@@ -379,6 +379,18 @@ class Impl
         if (!s.empty())
             return s;
         return checkSubtree(n->right, k + 1, hi);
+    }
+
+    /**
+     * Splice @p p in as the root, black: fixupInsert assumes every red
+     * node has a parent. Placed last so that no other traced line
+     * moves (findings and frontier signatures name source lines).
+     */
+    void
+    setBlackRoot(pmlib::Tx &tx, pm::PPtr<RbNode> p)
+    {
+        setRoot(tx, p);
+        setColor(tx, p, 0);
     }
 
     trace::PmRuntime &rt;

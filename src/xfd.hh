@@ -13,14 +13,22 @@
  *     if (res.hasBugs())
  *         std::puts(res.summary().c_str());
  *
+ * Detector options travel as one core::DetectorConfig, set with
+ * config(); the builder's own setters cover only what is not a
+ * detector option (the pool, threads, the observer):
+ *
+ *     xfd::DetectorConfig cfg;
+ *     cfg.backend = "batched";
+ *     auto res = xfd::Campaign::forProgram(pre, post).config(cfg).run();
+ *
  * Campaign is a builder over core::Driver: it owns the PM pool
- * (unless one is supplied with onPool()), assembles the
- * DetectorConfig from named setters, and dispatches to the serial or
- * parallel driver. Everything it does can also be done with the
- * low-level layer (pm::PmPool + core::Driver), which remains public
- * and documented — the facade only removes the boilerplate and keeps
- * call sites stable while the layers underneath evolve (the
- * delta-image engine landed without touching any Campaign user).
+ * (unless one is supplied with onPool()) and dispatches to the
+ * serial or parallel driver. Everything it does can also be done
+ * with the low-level layer (pm::PmPool + core::Driver), which
+ * remains public and documented — the facade only removes the
+ * boilerplate and keeps call sites stable while the layers
+ * underneath evolve (the delta-image engine landed without touching
+ * any Campaign user).
  *
  * README.md "Migrating to xfd::Campaign" maps the old wiring to this
  * API.
@@ -111,142 +119,17 @@ class Campaign
         return *this;
     }
 
-    /** Replace the whole DetectorConfig (escape hatch). */
+    /**
+     * Set every detector option (see DetectorConfig): the one way to
+     * configure detection. The other setters cover the campaign
+     * itself (pool, threads, observer).
+     */
     Campaign &
     config(const DetectorConfig &c)
     {
         cfg = c;
         return *this;
     }
-
-    /** @name Named DetectorConfig setters @{ */
-
-    /**
-     * Select the campaign backend: "full", "delta" (default) or
-     * "batched". See DetectorConfig::backend.
-     */
-    Campaign &
-    backend(const std::string &mode)
-    {
-        cfg.backend = mode;
-        return *this;
-    }
-
-    /** Delta restore granularity in bytes (power of two >= 64). */
-    Campaign &
-    deltaPageSize(std::size_t bytes)
-    {
-        cfg.deltaPageSize = bytes;
-        return *this;
-    }
-
-    /** Full-copy resync cadence (0 = only at chunk starts). */
-    Campaign &
-    deltaCheckpointInterval(std::size_t restores)
-    {
-        cfg.deltaCheckpointInterval = restores;
-        return *this;
-    }
-
-    /**
-     * Realistic crash image instead of the keep-everything copy: an
-     * alias of the "durable" crash-states tier (--crash-image).
-     * Turning it off returns to the anchor.
-     */
-    Campaign &
-    crashImage(bool on = true)
-    {
-        if (on)
-            cfg.crashStates = "durable";
-        else if (cfg.durableTier())
-            cfg.crashStates.clear();
-        return *this;
-    }
-
-    /** Strict persist extension for commit-covered locations. */
-    Campaign &
-    strictPersist(bool on = true)
-    {
-        cfg.strictPersistCheck = on;
-        return *this;
-    }
-
-    /** Report performance bugs (default on). */
-    Campaign &
-    performanceBugs(bool on)
-    {
-        cfg.reportPerformanceBugs = on;
-        return *this;
-    }
-
-    /** Shadow-PM cell granularity in bytes (1, 2, 4 or 8). */
-    Campaign &
-    granularity(unsigned bytes)
-    {
-        cfg.granularity = bytes;
-        return *this;
-    }
-
-    /** Cap injected failure points (0 = unlimited). */
-    Campaign &
-    maxFailurePoints(std::size_t n)
-    {
-        cfg.maxFailurePoints = n;
-        return *this;
-    }
-
-    /** Toggle observability counters (default on). */
-    Campaign &
-    collectStats(bool on)
-    {
-        cfg.collectStats = on;
-        return *this;
-    }
-
-    /**
-     * Enable the static lint pass: "all" or a comma list of rule ids
-     * (XL01..XL08) or names. Reporting only; see lint::runLint.
-     */
-    Campaign &
-    lintRules(const std::string &rules)
-    {
-        cfg.lintRules = rules;
-        return *this;
-    }
-
-    /** Elide same-value stores at trace-emit time (default off). */
-    Campaign &
-    elideSameValueWrites(bool on = true)
-    {
-        cfg.elideSameValueWrites = on;
-        return *this;
-    }
-
-    /** Feed the live per-second telemetry registry (see --live). */
-    Campaign &
-    live(bool on = true)
-    {
-        cfg.liveTelemetry = on;
-        return *this;
-    }
-
-    /** Serve live telemetry on 127.0.0.1:<port> (see --live-port). */
-    Campaign &
-    livePort(std::size_t port)
-    {
-        cfg.livePort = port;
-        return *this;
-    }
-
-    /** Stream live snapshots as JSONL (see --live-jsonl). */
-    Campaign &
-    liveJsonl(const std::string &path)
-    {
-        cfg.liveJsonlPath = path;
-        return *this;
-    }
-
-    /** @} */
 
     /** Attach observability sinks; must outlive run(). */
     Campaign &
@@ -255,9 +138,6 @@ class Campaign
         obs = o;
         return *this;
     }
-
-    /** The DetectorConfig as currently assembled. */
-    const DetectorConfig &configView() const { return cfg; }
 
     /** Execute the campaign. */
     CampaignResult

@@ -34,6 +34,20 @@ namespace xfdtest
 
 constexpr std::size_t defaultPoolBytes = std::size_t{1} << 22;
 
+/**
+ * @p cfg on the delta engine's finest restore schedule: 256-byte pages
+ * and a resync after every delta restore. Cross-schedule legs run it
+ * beside the default schedule; a binary that sets XFD_DELTA_VALIDATE
+ * checks every restore of both against the full image.
+ */
+inline xfd::core::DetectorConfig
+fineRestoreSchedule(xfd::core::DetectorConfig cfg)
+{
+    cfg.deltaPageSize = 256;
+    cfg.deltaCheckpointInterval = 1;
+    return cfg;
+}
+
 /** Optional knobs for runCampaign()/runWorkload(). */
 struct RunOptions
 {

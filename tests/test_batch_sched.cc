@@ -35,6 +35,10 @@ using bugsuite::BugCase;
 using core::BatchPlan;
 using core::CampaignResult;
 using core::DetectorConfig;
+
+// Before main(): every campaign in this binary checks each exec-pool
+// restore against the full image (XFD_DELTA_VALIDATE).
+const int validateEnvSet = (setenv("XFD_DELTA_VALIDATE", "1", 1), 0);
 using core::FailurePlan;
 using core::planBatches;
 using core::planFailurePoints;
@@ -102,15 +106,16 @@ TEST_P(BatchWorkloadTest, FingerprintMatchesSerialDelta)
     expectBatchAccounting(serial, batched);
 }
 
-TEST_P(BatchWorkloadTest, FingerprintMatchesFullBackend)
+TEST_P(BatchWorkloadTest, FingerprintMatchesFineRestoreSchedule)
 {
     const std::string &name = GetParam();
     auto wcfg = smallConfig(name);
-    CampaignResult full =
-        xfdtest::runWorkload(name, wcfg, withBackend("full"));
+    xfdtest::RunOptions fine = withBackend("delta");
+    fine.detector = xfdtest::fineRestoreSchedule(fine.detector);
+    CampaignResult ref = xfdtest::runWorkload(name, wcfg, fine);
     CampaignResult batched =
         xfdtest::runWorkload(name, wcfg, withBackend("batched"));
-    EXPECT_EQ(batched.fingerprint(), full.fingerprint());
+    EXPECT_EQ(batched.fingerprint(), ref.fingerprint());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, BatchWorkloadTest,

@@ -3,8 +3,8 @@
  * Repair-advisor tests: InsertionMutation hook mechanics, scoreboard
  * golden text/JSON, and the determinism contract — the plan list is a
  * pure function of the program, identical digit for digit whether the
- * inner campaigns run serial or parallel and whichever backend
- * restores the failure points.
+ * inner campaigns run serial or parallel, batched or not, and on
+ * whichever restore schedule.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +26,10 @@ namespace
 
 using namespace xfd;
 using trace::PmRuntime;
+
+// Before main(): every campaign in this binary checks each exec-pool
+// restore against the full image (XFD_DELTA_VALIDATE).
+const int validateEnvSet = (setenv("XFD_DELTA_VALIDATE", "1", 1), 0);
 
 /** Trace @p prog through a fresh pool, with an optional hook. */
 trace::TraceBuffer
@@ -139,7 +143,7 @@ TEST(InsertionMutation, DropAndSkipFireExactly)
 /** Fix campaign over one bug-suite case, oracle off for speed. */
 fix::FixReport
 runFixOn(const std::string &workload, const std::string &bugId,
-         unsigned threads = 1, const std::string &backend = "delta",
+         unsigned threads = 1, const core::DetectorConfig &detector = {},
          bool withOracle = false)
 {
     workloads::WorkloadConfig wcfg;
@@ -155,7 +159,7 @@ runFixOn(const std::string &workload, const std::string &bugId,
     cfg.post = [w](PmRuntime &rt) { w->post(rt); };
     cfg.poolBytes = xfdtest::defaultPoolBytes;
     cfg.threads = threads;
-    cfg.detector.backend = backend;
+    cfg.detector = detector;
     cfg.withOracle = withOracle;
     return fix::runFixCampaign(cfg);
 }
@@ -263,19 +267,20 @@ TEST(FixCampaign, DeterministicSerialVsParallel)
 
 TEST(FixCampaign, DeterministicAcrossBackends)
 {
-    fix::FixReport full = runFixOn(
+    core::DetectorConfig batchedCfg;
+    batchedCfg.backend = "batched";
+    fix::FixReport fine = runFixOn(
         "hashmap_atomic", "hashmap_atomic.race.slot_plain_store", 1,
-        "full");
+        xfdtest::fineRestoreSchedule({}));
     fix::FixReport delta = runFixOn(
-        "hashmap_atomic", "hashmap_atomic.race.slot_plain_store", 1,
-        "delta");
+        "hashmap_atomic", "hashmap_atomic.race.slot_plain_store", 1);
     fix::FixReport batched = runFixOn(
         "hashmap_atomic", "hashmap_atomic.race.slot_plain_store", 1,
-        "batched");
+        batchedCfg);
 
-    ASSERT_GE(full.plans(), 1u);
-    EXPECT_EQ(planSignature(full), planSignature(delta));
-    EXPECT_EQ(planSignature(full), planSignature(batched));
+    ASSERT_GE(fine.plans(), 1u);
+    EXPECT_EQ(planSignature(fine), planSignature(delta));
+    EXPECT_EQ(planSignature(fine), planSignature(batched));
 }
 
 TEST(FixCampaign, TargetSelectionChecksOnlyTheNamedPlan)

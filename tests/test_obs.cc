@@ -39,6 +39,10 @@ using namespace xfd;
 using xfdtest::Json;
 using xfdtest::parseJson;
 
+// Before main(): every campaign in this binary checks each exec-pool
+// restore against the full image (XFD_DELTA_VALIDATE).
+const int validateEnvSet = (setenv("XFD_DELTA_VALIDATE", "1", 1), 0);
+
 TEST(JsonWriter, EscapesAndNestingRoundTrip)
 {
     std::ostringstream os;
@@ -450,13 +454,8 @@ TEST(CampaignExport, StatsJsonEchoesEveryConfigFlag)
     Json doc = parseJson(os.str());
 
     const Json &conf = doc.at("config");
-    for (const auto &d : core::detectorFlagTable()) {
-        // Alias rows write through a canonical field and
-        // are deliberately absent from the echo.
-        if (d.alias)
-            continue;
+    for (const auto &d : core::detectorFlagTable())
         EXPECT_NE(conf.find(d.jsonKey), nullptr) << d.jsonKey;
-    }
     EXPECT_EQ(conf.at("crash_states").str, "durable");
     EXPECT_EQ(conf.at("backend").str, "delta");
     EXPECT_EQ(conf.at("delta_page_size").num, 256);
@@ -473,13 +472,7 @@ TEST(ConfigFlags, TableRowsAreWellFormedAndUnique)
     std::set<std::string> flags, keys;
     for (const auto &d : core::detectorFlagTable()) {
         EXPECT_TRUE(flags.insert(d.flag).second) << d.flag;
-        if (d.alias) {
-            // Alias rows have no JSON identity of their own.
-            EXPECT_EQ(d.jsonKey, std::string()) << d.flag;
-            EXPECT_NE(d.stringField, nullptr) << d.flag;
-        } else {
-            EXPECT_TRUE(keys.insert(d.jsonKey).second) << d.jsonKey;
-        }
+        EXPECT_TRUE(keys.insert(d.jsonKey).second) << d.jsonKey;
         int typed = (d.boolField != nullptr) +
                     (d.uintField != nullptr) + (d.sizeField != nullptr) +
                     (d.stringField != nullptr);
@@ -501,12 +494,23 @@ TEST(ConfigFlags, TableRowsAreWellFormedAndUnique)
 TEST(ConfigFlags, ApplySetsTheMappedField)
 {
     core::DetectorConfig cfg;
-    core::applyDetectorFlag(*core::findDetectorFlag("--no-delta"), cfg,
-                            nullptr);
-    EXPECT_EQ(cfg.backend, "full");
     core::applyDetectorFlag(*core::findDetectorFlag("--backend"), cfg,
                             "batched");
     EXPECT_TRUE(cfg.batchingOn());
+    core::applyDetectorFlag(*core::findDetectorFlag("--backend"), cfg,
+                            "delta");
+    EXPECT_EQ(cfg.backend, "delta");
+    EXPECT_FALSE(cfg.batchingOn());
+    // One spelling per option: the retired full-copy backend and the
+    // alias switches are unknown, and a rejected value leaves the
+    // field alone.
+    EXPECT_FALSE(core::applyDetectorFlag(*core::findDetectorFlag(
+                                             "--backend"),
+                                         cfg, "full")
+                     .empty());
+    EXPECT_EQ(cfg.backend, "delta");
+    for (const char *gone : {"--no-delta", "--lint-prune", "--crash-image"})
+        EXPECT_EQ(core::findDetectorFlag(gone), nullptr) << gone;
     core::applyDetectorFlag(*core::findDetectorFlag("--delta-page"),
                             cfg, "256");
     EXPECT_EQ(cfg.deltaPageSize, 256u);

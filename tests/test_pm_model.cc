@@ -42,6 +42,10 @@ using core::DetectorConfig;
 using core::PersistencyModel;
 using trace::PmRuntime;
 
+// Before main(): every campaign in this binary checks each exec-pool
+// restore against the full image (XFD_DELTA_VALIDATE).
+const int validateEnvSet = (setenv("XFD_DELTA_VALIDATE", "1", 1), 0);
+
 /** Detector config with --pm-model applied. */
 DetectorConfig
 modelConfig(const std::string &model)
@@ -238,18 +242,22 @@ TEST(PmModel, BackendsAndThreadsAgreeUnderBothModels)
         for (const char *workload : {"btree", "wal_btree"}) {
             SCOPED_TRACE(testing::Message() << workload << " under "
                                             << model);
-            auto run = [&](const char *backend, unsigned threads) {
+            auto run = [&](const char *backend, unsigned threads,
+                           bool fineRestores = false) {
                 xfdtest::RunOptions opt;
                 opt.detector = modelConfig(model);
                 opt.detector.backend = backend;
+                if (fineRestores)
+                    opt.detector =
+                        xfdtest::fineRestoreSchedule(opt.detector);
                 opt.threads = threads;
                 return xfdtest::fingerprint(
                     xfdtest::runWorkload(workload, wcfg, opt));
             };
-            auto serial = run("full", 1);
-            EXPECT_EQ(run("delta", 1), serial);
+            auto serial = run("delta", 1);
+            EXPECT_EQ(run("delta", 1, true), serial);
             EXPECT_EQ(run("batched", 1), serial);
-            EXPECT_EQ(run("full", 3), serial);
+            EXPECT_EQ(run("delta", 3, true), serial);
         }
     }
 }

@@ -12,6 +12,7 @@
 
 #include "core/driver.hh"
 #include "harness.hh"
+#include "pmlib/objpool.hh"
 #include "workloads/workload.hh"
 
 namespace
@@ -160,24 +161,74 @@ TEST(MemcachedEviction, CapacityEnforced)
 
 TEST(BTreeRecovery, CorruptNodeCountAbortsRecovery)
 {
-    // This draw's crash images hold a node count above maxKeys.
-    // Recovery once indexed keys[]/child[] by it until the
-    // post-failure trace cap tripped, which took minutes per point;
-    // it must abort at once as a recovery failure instead.
+    // A crash image whose node count exceeds maxKeys: recovery once
+    // indexed keys[]/child[] by it until the post-failure trace cap
+    // tripped, which took minutes per point; it must abort at once as
+    // a recovery failure instead. The image is made by hand: the root
+    // node's count, its first field, is overwritten.
+    WorkloadConfig cfg;
+    cfg.initOps = 5;
+    cfg.testOps = 8;
+    auto w = makeWorkload("btree", cfg);
+    pm::PmPool pool(poolSize);
+    trace::TraceBuffer pre;
+    PmRuntime rt(pool, pre, trace::Stage::PreFailure);
+    w->pre(rt);
+    Addr root = *pmlib::ObjPool::open(rt, "btree").root<Addr>();
+    *static_cast<std::uint64_t *>(pool.toHost(root)) = ~std::uint64_t{0};
+
+    trace::TraceBuffer post;
+    PmRuntime prt(pool, post, trace::Stage::PostFailure);
+    try {
+        w->post(prt);
+        ADD_FAILURE() << "recovery accepted a corrupt node count";
+    } catch (const trace::PostFailureAbort &abort) {
+        EXPECT_EQ(abort.reason, "btree: corrupt node count");
+    }
+}
+
+TEST(BTreeRemove, EmptiedPredecessorLeafRunsClean)
+{
+    // Removals never rebalance, so a leaf can run dry. This draw
+    // removes an internal key whose predecessor leaf is empty; the
+    // removal once stored a node count of 2^64-1 in the pre-failure
+    // stage, and every later crash image failed recovery.
     WorkloadConfig cfg;
     cfg.initOps = 5;
     cfg.testOps = 8;
     cfg.postOps = 2;
     cfg.seed = 330;
     auto res = xfdtest::runWorkload("btree", cfg);
-    bool corrupt = false;
-    for (const auto &b : res.findings()) {
-        EXPECT_EQ(b.note.find("exceeded the trace limit"),
-                  std::string::npos);
-        corrupt = corrupt || (b.type == BugType::RecoveryFailure &&
-                              b.note == "btree: corrupt node count");
-    }
-    EXPECT_TRUE(corrupt);
+    EXPECT_TRUE(xfdtest::hasNoFindings(res));
+
+    auto w = makeWorkload("btree", cfg);
+    pm::PmPool pool(poolSize);
+    trace::TraceBuffer buf;
+    PmRuntime rt(pool, buf, trace::Stage::PreFailure);
+    w->pre(rt);
+    EXPECT_EQ(w->verify(rt), "");
+}
+
+TEST(RBTreeRemove, SplicedRootStaysBlack)
+{
+    // This draw removes the root while it has one child and later
+    // inserts below the child spliced in as root. A red root sent
+    // fixupInsert to a null grandparent: a wild PM access in the
+    // pre-failure stage that killed the campaign.
+    WorkloadConfig cfg;
+    cfg.initOps = 5;
+    cfg.testOps = 135;
+    cfg.postOps = 2;
+    cfg.seed = 355;
+    auto res = xfdtest::runWorkload("rbtree", cfg);
+    EXPECT_TRUE(xfdtest::hasNoFindings(res));
+
+    auto w = makeWorkload("rbtree", cfg);
+    pm::PmPool pool(poolSize);
+    trace::TraceBuffer buf;
+    PmRuntime rt(pool, buf, trace::Stage::PreFailure);
+    w->pre(rt);
+    EXPECT_EQ(w->verify(rt), "");
 }
 
 TEST(HashmapTxRebuild, GrowsBuckets)
